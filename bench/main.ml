@@ -748,6 +748,40 @@ let b12_vec_queries =
 
 let b12_vec_sweep = [ 256; 1_024; 4_096 ]
 
+(* ------------------------------------------------------------------ *)
+(* Plan pins: the "join probe" (B7-par, B12-vec) and "join +prov"       *)
+(* (B8-guard, B9-prof, B10-hist) rows must time a hash join. A planner  *)
+(* change that plans one as a filtered cross product again fails the    *)
+(* run instead of silently changing what is measured.                   *)
+(* ------------------------------------------------------------------ *)
+
+let pinned_join_queries =
+  List.filter
+    (fun (name, _) -> name = "join probe")
+    (b7_par_queries @ b12_vec_queries)
+  @ List.filter (fun (name, _) -> name = "join +prov") guard_queries
+
+let pin_join_plans () =
+  let e = Engine.create () in
+  Forum.load_scaled e ~messages:200 ~users:10 ();
+  let rec operators (p : Perm_algebra.Plan.t) =
+    Perm_algebra.Plan.operator_name p
+    :: List.concat_map operators (Perm_algebra.Plan.children p)
+  in
+  List.iter
+    (fun (name, sql) ->
+      match Engine.plan_query e sql with
+      | Error msg -> failwith (Printf.sprintf "plan pin %s: %s" name msg)
+      | Ok (_, optimized) ->
+        let ops = operators optimized in
+        if (not (List.mem "Join" ops)) || List.mem "CrossJoin" ops then
+          failwith
+            (Printf.sprintf
+               "plan pin %s: expected a Join and no CrossJoin, got [%s] for %s"
+               name (String.concat ", " ops) sql))
+    pinned_join_queries;
+  Engine.close e
+
 (* [(query, row_ns, [(batch_rows, ns)])] — shared by the table printer and
    the BENCH_phases.json "vectorized" section. *)
 let b12_vec_measure ~size =
@@ -1490,11 +1524,13 @@ let () =
     let tolerance = arg_float "--tolerance" 5.0 in
     let slack = arg_float "--slack" 25.0 in
     e2_sanity ();
+    pin_join_plans ();
     let _, entries = run_smoke () in
     exit (compare_baseline ~path:baseline ~tolerance ~slack entries)
   | None -> ());
   if Array.exists (fun a -> a = "--smoke") Sys.argv then begin
     e2_sanity ();
+    pin_join_plans ();
     ignore (smoke ~json ());
     exit 0
   end;
@@ -1509,6 +1545,7 @@ let () =
   print_endline
     "Perm reproduction benchmarks (see DESIGN.md section 5, EXPERIMENTS.md)";
   e2_sanity ();
+  pin_join_plans ();
   b1 sizes;
   b2 ~rows:b2_rows ~group_counts:b2_groups;
   b3 ~size:mid_size;

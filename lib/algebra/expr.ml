@@ -124,6 +124,16 @@ let rec equal a b =
 
 let is_const = function Const _ -> true | _ -> false
 
+let equality = function
+  | Binop (Eq, a, b) -> Some (a, b, false)
+  | Binop
+      ( Or,
+        Binop (Eq, a, b),
+        Binop (And, Unop (Is_null, a'), Unop (Is_null, b')) )
+    when (equal a a' && equal b b') || (equal a b' && equal b a') ->
+    Some (a, b, true)
+  | _ -> None
+
 let binop_name = function
   | Add -> "+"
   | Sub -> "-"

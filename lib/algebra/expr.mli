@@ -51,6 +51,13 @@ val type_of : t -> Perm_value.Dtype.t
 
 val equal : t -> t -> bool
 val is_const : t -> bool
+
+val equality : t -> (t * t * bool) option
+(** [Some (a, b, false)] for [a = b]; [Some (a, b, true)] for the
+    null-safe form [a = b OR (a IS NULL AND b IS NULL)] that the
+    provenance rewrite emits for its rejoins. These are the conjuncts a
+    hash join can key on. *)
+
 val binop_name : binop -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -385,20 +385,9 @@ let split_join_pred left_schema right_schema pred =
   List.iter
     (fun c ->
       let recognized =
-        match c with
-        | Expr.Binop (Expr.Eq, a, b) ->
-          orient left_schema right_schema a b ~null_safe:false
-        | Expr.Binop
-            ( Expr.Or,
-              Expr.Binop (Expr.Eq, a, b),
-              Expr.Binop
-                ( Expr.And,
-                  Expr.Unop (Expr.Is_null, a'),
-                  Expr.Unop (Expr.Is_null, b') ) )
-          when (Expr.equal a a' && Expr.equal b b')
-               || (Expr.equal a b' && Expr.equal b a') ->
-          orient left_schema right_schema a b ~null_safe:true
-        | _ -> None
+        match Expr.equality c with
+        | Some (a, b, null_safe) -> orient left_schema right_schema a b ~null_safe
+        | None -> None
       in
       match recognized with
       | Some k -> keys := k :: !keys
@@ -424,6 +413,190 @@ let key_usable (null_safety : bool array) (key : Tuple.t) =
     i >= n || ((null_safety.(i) || not (Value.is_null key.(i))) && go (i + 1))
   in
   go 0
+
+(* ------------------------------------------------------------------ *)
+(* Join tables                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The one hash table behind every join build: the row path and its
+   spilled chunks, the batch path, and both parallel fragments. A key
+   maps to the indexes of its build rows in ascending order, which is
+   the order every probe emits matches in.
+
+   A single key whose sides are plain attributes of one Int, Date or
+   Text type hashes the unboxed value ([Int_hash]/[Str_hash]), read
+   straight from the column: no key tuple, no polymorphic hash. All
+   other keys hash key tuples ([Tuple.Hash]), and so does a typed build
+   that meets a value of another constructor — an engine-typed column
+   carries only its declared constructor or NULL, but semantics must not
+   depend on that. A key that is NULL where equality is not null-safe
+   never matches and is not stored; null-safe NULL keys share a slot. *)
+type join_spec = {
+  js_null_safe : bool array;
+  js_lexprs : Expr.t list;  (* probe keys over the left schema *)
+  js_lkey : (Tuple.t -> Value.t) array;  (* row-path probe keys *)
+  js_rkey : (Tuple.t -> Value.t) array;  (* build keys *)
+  js_single : (int * int * Dtype.t) option;
+      (* left position, right position and type of a typed key *)
+  js_residual : Expr.t list;  (* join conjuncts that are not keys *)
+}
+
+type join_probe =
+  | By_int of { ints : int list ref Int_hash.t; ty : Dtype.t; col : int }
+  | By_str of int list ref Str_hash.t
+  | By_tuple of int list ref Tuple.Hash.t
+
+type join_table = {
+  jt_rows : Tuple.t array;
+  jt_probe : join_probe;
+  jt_nulls : int list;  (* null-safe NULL keys of a typed table *)
+}
+
+let join_spec ~l_resolve ~r_resolve left_schema right_schema pred =
+  let keys, residual =
+    match pred with
+    | None -> ([], [])
+    | Some p -> split_join_pred left_schema right_schema p
+  in
+  let position schema (a : Attr.t) =
+    let rec go i = function
+      | [] -> None
+      | (x : Attr.t) :: rest -> if Attr.equal x a then Some i else go (i + 1) rest
+    in
+    go 0 schema
+  in
+  let js_single =
+    match keys with
+    | [ { l_expr = Expr.Attr l; r_expr = Expr.Attr r; _ } ]
+      when Dtype.equal l.Attr.ty r.Attr.ty -> (
+      match l.Attr.ty, position left_schema l, position right_schema r with
+      | (Dtype.Int | Dtype.Date | Dtype.Text), Some li, Some ri ->
+        Some (li, ri, l.Attr.ty)
+      | _ -> None)
+    | _ -> None
+  in
+  {
+    js_null_safe = Array.of_list (List.map (fun k -> k.null_safe) keys);
+    js_lexprs = List.map (fun k -> k.l_expr) keys;
+    js_lkey =
+      Array.of_list (List.map (fun k -> compile_expr l_resolve k.l_expr) keys);
+    js_rkey =
+      Array.of_list (List.map (fun k -> compile_expr r_resolve k.r_expr) keys);
+    js_single;
+    js_residual = residual;
+  }
+
+(* Buckets are filled from the last build row to the first, so each
+   comes out ascending with one lookup per row and no reversal. *)
+let push_bucket find add tbl k i =
+  match find tbl k with Some r -> r := i :: !r | None -> add tbl k (ref [ i ])
+
+let build_join_table spec (rows : Tuple.t array) : join_table =
+  let nulls = ref [] in
+  (* fill a typed table from key column [col]; false at the first value
+     [add] does not take *)
+  let fill col add =
+    let rec go i =
+      i < 0
+      ||
+      match rows.(i).(col) with
+      | Value.Null ->
+        if spec.js_null_safe.(0) then nulls := i :: !nulls;
+        go (i - 1)
+      | v -> add v i && go (i - 1)
+    in
+    go (Array.length rows - 1)
+  in
+  let typed =
+    match spec.js_single with
+    | Some (_, col, Dtype.Text) ->
+      let strs = Str_hash.create 256 in
+      let add v i =
+        match v with
+        | Value.Text k ->
+          push_bucket Str_hash.find_opt Str_hash.add strs k i;
+          true
+        | _ -> false
+      in
+      if fill col add then Some (By_str strs) else None
+    | Some (_, col, ty) ->
+      let ints = Int_hash.create 256 in
+      let add v i =
+        match v, ty with
+        | Value.Int k, Dtype.Int | Value.Date k, Dtype.Date ->
+          push_bucket Int_hash.find_opt Int_hash.add ints k i;
+          true
+        | _ -> false
+      in
+      if fill col add then Some (By_int { ints; ty; col }) else None
+    | None -> None
+  in
+  match typed with
+  | Some probe -> { jt_rows = rows; jt_probe = probe; jt_nulls = !nulls }
+  | None ->
+    let tbl = Tuple.Hash.create 256 in
+    for i = Array.length rows - 1 downto 0 do
+      let key = key_of spec.js_rkey rows.(i) in
+      if key_usable spec.js_null_safe key then
+        push_bucket Tuple.Hash.find_opt Tuple.Hash.add tbl key i
+    done;
+    { jt_rows = rows; jt_probe = By_tuple tbl; jt_nulls = [] }
+
+let bucket = function Some r -> !r | None -> []
+
+let tuple_find spec tbl key =
+  if key_usable spec.js_null_safe key then bucket (Tuple.Hash.find_opt tbl key)
+  else []
+
+(* Probe of a single key by value, with [Value.equal]'s semantics. A
+   Float equals an Int when it converts exactly; an integral Float of
+   magnitude 2^53 or more can equal several Ints, so it scans the build
+   rows. *)
+let value_finder spec jt : Value.t -> int list =
+  let nulls = if spec.js_null_safe.(0) then jt.jt_nulls else [] in
+  match jt.jt_probe with
+  | By_int { ints; ty = Dtype.Date; _ } -> (
+    function
+    | Value.Date k -> bucket (Int_hash.find_opt ints k)
+    | Value.Null -> nulls
+    | _ -> [])
+  | By_int { ints; col; _ } -> (
+    function
+    | Value.Int k -> bucket (Int_hash.find_opt ints k)
+    | Value.Null -> nulls
+    | Value.Float f when Float.is_integer f && Float.abs f < 0x1p53 ->
+      bucket (Int_hash.find_opt ints (int_of_float f))
+    | Value.Float f as v when Float.is_integer f ->
+      List.filter
+        (fun i -> Value.equal jt.jt_rows.(i).(col) v)
+        (List.init (Array.length jt.jt_rows) Fun.id)
+    | _ -> [])
+  | By_str strs -> (
+    function
+    | Value.Text k -> bucket (Str_hash.find_opt strs k)
+    | Value.Null -> nulls
+    | _ -> [])
+  | By_tuple tbl -> fun v -> tuple_find spec tbl [| v |]
+
+(* Row-path probe: candidate build indexes for a probe row. *)
+let join_row_lookup spec jt : Tuple.t -> int list =
+  match spec.js_single, jt.jt_probe with
+  | Some (li, _, _), _ ->
+    let find = value_finder spec jt in
+    fun lrow -> find lrow.(li)
+  | None, By_tuple tbl -> fun lrow -> tuple_find spec tbl (key_of spec.js_lkey lrow)
+  | None, (By_int _ | By_str _) -> assert false (* only single keys are typed *)
+
+(* Batch-path probe; [lkey] fills multi-column keys (it may hold a row
+   cursor, so the parallel path passes one per morsel). *)
+let join_batch_lookup spec ~(lkey : Batch.t -> int -> Tuple.t) jt :
+    Batch.t -> int -> int list =
+  match spec.js_single, jt.jt_probe with
+  | Some (li, _, _), _ ->
+    let find = value_finder spec jt in
+    fun b p -> find (Array.unsafe_get (Batch.col b li) p)
+  | None, By_tuple tbl -> fun b p -> tuple_find spec tbl (lkey b p)
+  | None, (By_int _ | By_str _) -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate state machines                                            *)
@@ -633,68 +806,40 @@ and compile_join ~provider ~wrap outer kind left right pred =
   let run_right = compile ~provider ~wrap outer right in
   let l_resolve = combine_resolvers (resolver_of_schema left_schema) outer in
   let r_resolve = combine_resolvers (resolver_of_schema right_schema) outer in
-  let keys, residual =
-    match pred with
-    | None -> ([], [])
-    | Some p -> split_join_pred left_schema right_schema p
-  in
-  let lkey_fs =
-    Array.of_list (List.map (fun k -> compile_expr l_resolve k.l_expr) keys)
-  in
-  let rkey_fs =
-    Array.of_list (List.map (fun k -> compile_expr r_resolve k.r_expr) keys)
-  in
-  let null_safety = Array.of_list (List.map (fun k -> k.null_safe) keys) in
+  let spec = join_spec ~l_resolve ~r_resolve left_schema right_schema pred in
   let combined_resolve =
     combine_resolvers (resolver_of_schema (left_schema @ right_schema)) outer
   in
   let residual_f =
-    match residual with
+    match spec.js_residual with
     | [] -> fun _ -> true
     | preds -> compile_pred combined_resolve (Expr.conjoin preds)
   in
-  let key_usable = key_usable null_safety in
   let pad n = Array.make n Value.Null in
-  (* The probe body shared by the in-memory and spilled builds: matches
-     come back in ascending right-row order (within the hash table /
-     chunk), with the residual applied. *)
-  let probe_in tbl lrow =
-    let key = key_of lkey_fs lrow in
-    if not (key_usable key) then []
-    else
-      match Tuple.Hash.find_opt tbl key with
-      | None -> []
-      | Some candidates ->
-        List.filter_map
-          (fun (idx, rrow) ->
-            let combined = Tuple.concat lrow rrow in
-            if residual_f combined then Some (idx, combined) else None)
-          (List.rev candidates)
-  in
-  let hash_rows rows =
-    let tbl = Tuple.Hash.create 256 in
-    Array.iteri
-      (fun idx rrow ->
-        let key = key_of rkey_fs rrow in
-        let prev =
-          match Tuple.Hash.find_opt tbl key with Some l -> l | None -> []
-        in
-        Tuple.Hash.replace tbl key ((idx, rrow) :: prev))
-      rows;
-    tbl
+  (* The probe shared by the in-memory and spilled builds: matches come
+     back in ascending build-row order (within the table / chunk), with
+     the residual applied. *)
+  let prober jt =
+    let lookup = join_row_lookup spec jt in
+    fun lrow ->
+      List.filter_map
+        (fun idx ->
+          let combined = Tuple.concat lrow jt.jt_rows.(idx) in
+          if residual_f combined then Some (idx, combined) else None)
+        (lookup lrow)
   in
   match kind with
   | Plan.Cross | Plan.Inner | Plan.Left | Plan.Full | Plan.Semi | Plan.Anti ->
     (* The whole build side fits in memory: hash it once and stream the
        probe side through. *)
     let in_memory right_rows : Tuple.t Seq.node =
-      let table = hash_rows right_rows in
+      let probe = prober (build_join_table spec right_rows) in
       let matched_right = Array.make (Array.length right_rows) false in
       let left_seq = run_left () in
       let main =
         Seq.concat_map
           (fun lrow ->
-            let matches = probe_in table lrow in
+            let matches = probe lrow in
             match kind with
             | Plan.Semi ->
               if matches <> [] then Seq.return lrow else Seq.empty
@@ -782,7 +927,7 @@ and compile_join ~provider ~wrap outer kind left right pred =
           read_chunk ();
           let rows = Array.of_list (List.rev !buf) in
           Spill.release chunk;
-          let tbl = hash_rows rows in
+          let probe = prober (build_join_table spec rows) in
           let matched_chunk = Array.make (Array.length rows) false in
           Spill.rewind probe_file;
           let out = outs.(ci) in
@@ -793,7 +938,7 @@ and compile_join ~provider ~wrap outer kind left right pred =
             | Some lrow ->
               let pi = !p in
               incr p;
-              (match probe_in tbl lrow with
+              (match probe lrow with
               | [] -> ()
               | ms ->
                 Bytes.set matched_left pi '\001';
@@ -1564,19 +1709,12 @@ let apply_project builders b =
    of line (left physical index + right row reference) and flush into
    dense output batches capped at [batch_rows], so giant expansions stay
    streamed and the cancel token keeps batch-granular kill latency.
-   Candidate order is [List.rev] of the build list — exactly the row
+   [lookup] returns candidate build indexes in ascending order — the row
    path's probe order, so output rows are byte-identical. *)
-let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
-    ~usable ~(tbl : (int * Tuple.t) list Tuple.Hash.t)
+let probe_batch ~kind ~r_arity ~batch_rows
+    ~(lookup : Batch.t -> int -> int list) ~(rows : Tuple.t array)
     ~(residual_f : (Tuple.t -> bool) option)
     ~(matched_right : bool array option) (lb : Batch.t) : Batch.t list =
-  let find key =
-    if not (usable key) then []
-    else
-      match Tuple.Hash.find_opt tbl key with
-      | None -> []
-      | Some l -> List.rev l
-  in
   match kind with
   | Plan.Semi | Plan.Anti ->
     let want = kind = Plan.Semi in
@@ -1585,13 +1723,13 @@ let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
     let m = ref 0 in
     for i = 0 to n - 1 do
       let p = sel.(i) in
-      let cands = find (lkey lb p) in
+      let cands = lookup lb p in
       let hit =
         match residual_f with
         | None -> cands <> []
         | Some rf ->
           let lrow = brow lb p in
-          List.exists (fun (_, rrow) -> rf (Tuple.concat lrow rrow)) cands
+          List.exists (fun idx -> rf (Tuple.concat lrow rows.(idx))) cands
       in
       if hit = want then begin
         sel.(!m) <- p;
@@ -1641,15 +1779,16 @@ let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
     in
     Batch.iter_live
       (fun p ->
-        let cands = find (lkey lb p) in
+        let cands = lookup lb p in
         match kind with
         | Plan.Inner | Plan.Cross -> (
           match residual_f with
-          | None -> List.iter (fun (_, rrow) -> push p rrow) cands
+          | None -> List.iter (fun idx -> push p rows.(idx)) cands
           | Some rf ->
             let lrow = brow lb p in
             List.iter
-              (fun (_, rrow) ->
+              (fun idx ->
+                let rrow = rows.(idx) in
                 if rf (Tuple.concat lrow rrow) then push p rrow)
               cands)
         | Plan.Left | Plan.Full ->
@@ -1657,15 +1796,16 @@ let probe_batch ~kind ~r_arity ~batch_rows ~(lkey : Batch.t -> int -> Tuple.t)
           (match residual_f with
           | None ->
             List.iter
-              (fun (idx, rrow) ->
+              (fun idx ->
                 any := true;
                 mark idx;
-                push p rrow)
+                push p rows.(idx))
               cands
           | Some rf ->
             let lrow = brow lb p in
             List.iter
-              (fun (idx, rrow) ->
+              (fun idx ->
+                let rrow = rows.(idx) in
                 if rf (Tuple.concat lrow rrow) then begin
                   any := true;
                   mark idx;
@@ -1829,18 +1969,13 @@ and compile_batch_join ~provider ~batch_rows ~bwrap kind left right pred =
     let run_right = compile_batch ~provider ~batch_rows ~bwrap right in
     let l_pos = positions_of_schema left_schema in
     let r_resolve = resolver_of_schema right_schema in
-    let keys, residual =
-      match pred with
-      | None -> ([], [])
-      | Some p -> split_join_pred left_schema right_schema p
+    let spec =
+      join_spec ~l_resolve:(resolver_of_schema left_schema) ~r_resolve
+        left_schema right_schema pred
     in
-    let lkey = key_filler l_pos (List.map (fun k -> k.l_expr) keys) in
-    let rkey_fs =
-      Array.of_list (List.map (fun k -> compile_expr r_resolve k.r_expr) keys)
-    in
-    let null_safety = Array.of_list (List.map (fun k -> k.null_safe) keys) in
+    let lkey = key_filler l_pos spec.js_lexprs in
     let residual_f =
-      match residual with
+      match spec.js_residual with
       | [] -> None
       | preds ->
         Some
@@ -1848,12 +1983,10 @@ and compile_batch_join ~provider ~batch_rows ~bwrap kind left right pred =
              (resolver_of_schema (left_schema @ right_schema))
              (Expr.conjoin preds))
     in
-    let usable = key_usable null_safety in
     fun () ->
       Seq.memoize
         (fun () ->
           Perm_fault.trip fp_join_build;
-          let tbl = Tuple.Hash.create 256 in
           (* the batch path does not spill; hand oversized builds back to
              the engine (which retries on the spilling row path) as soon
              as the threshold is crossed, before the full build side is
@@ -1866,22 +1999,15 @@ and compile_batch_join ~provider ~batch_rows ~bwrap kind left right pred =
             | Plan.Full -> Some (Array.make (Array.length right_rows) false)
             | _ -> None
           in
-          Array.iteri
-            (fun idx rrow ->
-              let key = key_of rkey_fs rrow in
-              let prev =
-                match Tuple.Hash.find_opt tbl key with
-                | Some l -> l
-                | None -> []
-              in
-              Tuple.Hash.replace tbl key ((idx, rrow) :: prev))
-            right_rows;
+          let lookup =
+            join_batch_lookup spec ~lkey (build_join_table spec right_rows)
+          in
           let main =
             Seq.concat_map
               (fun lb ->
                 List.to_seq
-                  (probe_batch ~kind ~r_arity ~batch_rows ~lkey ~usable ~tbl
-                     ~residual_f ~matched_right lb))
+                  (probe_batch ~kind ~r_arity ~batch_rows ~lookup
+                     ~rows:right_rows ~residual_f ~matched_right lb))
               (run_left ())
           in
           match kind with
@@ -2687,27 +2813,15 @@ module Par = struct
         let r_arity = List.length right_schema in
         let l_resolve = resolver_of_schema left_schema in
         let r_resolve = resolver_of_schema right_schema in
-        let keys, residual =
-          match pred with
-          | None -> ([], [])
-          | Some p -> split_join_pred left_schema right_schema p
-        in
-        let lkey_fs =
-          Array.of_list (List.map (fun k -> compile_expr l_resolve k.l_expr) keys)
-        in
-        let rkey_fs =
-          Array.of_list (List.map (fun k -> compile_expr r_resolve k.r_expr) keys)
-        in
-        let null_safety = Array.of_list (List.map (fun k -> k.null_safe) keys) in
+        let spec = join_spec ~l_resolve ~r_resolve left_schema right_schema pred in
         let residual_f =
-          match residual with
+          match spec.js_residual with
           | [] -> fun _ -> true
           | preds ->
             compile_pred
               (resolver_of_schema (left_schema @ right_schema))
               (Expr.conjoin preds)
         in
-        let usable = key_usable null_safety in
         let run_right = compile ~provider ~wrap:no_wrap no_outer right in
         let c = prof_register prof plan in
         Some
@@ -2716,7 +2830,6 @@ module Par = struct
               let mk = inst () in
               (* serial build: hash the right side once; workers only read *)
               Perm_fault.trip fp_join_build;
-              let tbl = Tuple.Hash.create 256 in
               (* the parallel path does not spill; hand oversized builds
                  back to the engine for a spilling serial retry, bailing
                  as soon as the threshold is crossed *)
@@ -2724,28 +2837,15 @@ module Par = struct
                 array_of_seq_bounded ~what:"parallel join build"
                   (run_right ())
               in
-              Array.iteri
-                (fun idx rrow ->
-                  let key = key_of rkey_fs rrow in
-                  let prev =
-                    match Tuple.Hash.find_opt tbl key with
-                    | Some l -> l
-                    | None -> []
-                  in
-                  Tuple.Hash.replace tbl key ((idx, rrow) :: prev))
-                right_rows;
+              let lookup =
+                join_row_lookup spec (build_join_table spec right_rows)
+              in
               let probe lrow =
-                let key = key_of lkey_fs lrow in
-                if not (usable key) then []
-                else
-                  match Tuple.Hash.find_opt tbl key with
-                  | None -> []
-                  | Some candidates ->
-                    List.filter_map
-                      (fun (_, rrow) ->
-                        let combined = Tuple.concat lrow rrow in
-                        if residual_f combined then Some combined else None)
-                      (List.rev candidates)
+                List.filter_map
+                  (fun idx ->
+                    let combined = Tuple.concat lrow right_rows.(idx) in
+                    if residual_f combined then Some combined else None)
+                  (lookup lrow)
               in
               fun emit ->
                 let emit = prof_emit c emit in
@@ -2831,21 +2931,12 @@ module Par = struct
         let r_arity = List.length right_schema in
         let l_pos = positions_of_schema left_schema in
         let r_resolve = resolver_of_schema right_schema in
-        let keys, residual =
-          match pred with
-          | None -> ([], [])
-          | Some p -> split_join_pred left_schema right_schema p
-        in
-        let key_exprs = List.map (fun k -> k.l_expr) keys in
-        let rkey_fs =
-          Array.of_list
-            (List.map (fun k -> compile_expr r_resolve k.r_expr) keys)
-        in
-        let null_safety =
-          Array.of_list (List.map (fun k -> k.null_safe) keys)
+        let spec =
+          join_spec ~l_resolve:(resolver_of_schema left_schema) ~r_resolve
+            left_schema right_schema pred
         in
         let residual_f =
-          match residual with
+          match spec.js_residual with
           | [] -> None
           | preds ->
             Some
@@ -2853,7 +2944,6 @@ module Par = struct
                  (resolver_of_schema (left_schema @ right_schema))
                  (Expr.conjoin preds))
         in
-        let usable = key_usable null_safety in
         let run_right = compile ~provider ~wrap:no_wrap no_outer right in
         let c = prof_register prof plan in
         Some
@@ -2863,28 +2953,20 @@ module Par = struct
               let mk = inst () in
               (* serial build: hash the right side once; workers only read *)
               Perm_fault.trip fp_join_build;
-              let tbl = Tuple.Hash.create 256 in
               let right_rows =
                 array_of_seq_bounded ~what:"parallel join build"
                   (run_right ())
               in
-              Array.iteri
-                (fun idx rrow ->
-                  let key = key_of rkey_fs rrow in
-                  let prev =
-                    match Tuple.Hash.find_opt tbl key with
-                    | Some l -> l
-                    | None -> []
-                  in
-                  Tuple.Hash.replace tbl key ((idx, rrow) :: prev))
-                right_rows;
+              let jt = build_join_table spec right_rows in
               fun emit ->
                 let emit = prof_bemit c emit in
-                let lkey = key_filler l_pos key_exprs in
+                let lookup =
+                  join_batch_lookup spec ~lkey:(key_filler l_pos spec.js_lexprs) jt
+                in
                 mk (fun lb ->
                     List.iter emit
-                      (probe_batch ~kind ~r_arity ~batch_rows ~lkey ~usable
-                         ~tbl ~residual_f ~matched_right:None lb)) ))
+                      (probe_batch ~kind ~r_arity ~batch_rows ~lookup
+                         ~rows:right_rows ~residual_f ~matched_right:None lb)) ))
     | _ -> None
 
   (* Fan a compiled fragment out over the driving table's morsels; per-

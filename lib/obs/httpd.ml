@@ -129,10 +129,12 @@ let parse_target target =
     ( percent_decode (String.sub target 0 i),
       parse_query (String.sub target (i + 1) (String.length target - i - 1)) )
 
-(* Request head only (GET endpoints have no body), capped at 8 KiB. *)
+(* Request head only (GET endpoints have no body), capped at 8 KiB. With
+   a [deadline] (absolute, [Unix.gettimeofday] clock) every read first
+   waits for input only until then, so the whole read is bounded in time. *)
 let head_limit = 8192
 
-let read_head fd =
+let read_head ?deadline fd =
   let buf = Buffer.create 512 in
   let chunk = Bytes.create 512 in
   let find_end () =
@@ -153,7 +155,15 @@ let read_head fd =
       match find_end () with
       | Some () -> Some (Buffer.contents buf)
       | None ->
-        let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+        let ready =
+          match deadline with
+          | None -> true
+          | Some d -> (
+            let left = d -. Unix.gettimeofday () in
+            left > 0.
+            && match Unix.select [ fd ] [] [] left with [], _, _ -> false | _ -> true)
+        in
+        let n = if ready then Unix.read fd chunk 0 (Bytes.length chunk) else 0 in
         if n <= 0 then None
         else begin
           Buffer.add_subbytes buf chunk 0 n;
@@ -283,6 +293,11 @@ let accept_loop t =
           in
           if not enqueued then begin
             Atomic.incr t.rejected;
+            (* read the request before answering: closing a socket with
+               unread input sends a RST, which can destroy the 503 before
+               the client reads it; the deadline keeps a silent or
+               trickling client from stalling the acceptor *)
+            ignore (read_head ~deadline:(Unix.gettimeofday () +. 0.1) fd);
             (try fixed_response fd 503 "text/plain" "too many connections\n"
              with _ -> ());
             try Unix.close fd with _ -> ()

@@ -329,6 +329,47 @@ let attrs_subset set (schema : Attr.t list) =
     (fun (a : Attr.t) -> List.exists (fun (x : Attr.t) -> Attr.equal x a) schema)
     set
 
+(* A conjunct a hash join can key on ({!Expr.equality}) whose sides read
+   one join input each. *)
+let is_join_key left_schema right_schema (c : Expr.t) =
+  match Expr.equality c with
+  | None -> false
+  | Some (a, b, _) ->
+    let sa = Expr.attrs a and sb = Expr.attrs b in
+    let within s schema = (not (Attr.Set.is_empty s)) && attrs_subset s schema in
+    (within sa left_schema && within sb right_schema)
+    || (within sb left_schema && within sa right_schema)
+
+(* Constant carrying across join keys. When [x = c] is pushed into one
+   input of a join whose predicate has the conjunct [x = y], every joined
+   row has [y = c] too, so [y = c] can also filter [y]'s input, here
+   given by its [schema]. Returns those extra conjuncts. Only plain
+   attribute keys of one type, with a constant of that type or NULL,
+   qualify: equality is transitive within a type, while the Int/Float
+   comparison rounds above 2^53. A NULL constant empties both inputs. *)
+let carried (pred : Expr.t) (join_pred : Expr.t option) schema =
+  match pred, join_pred with
+  | ( ( Expr.Binop (Expr.Eq, Expr.Attr x, Expr.Const c)
+      | Expr.Binop (Expr.Eq, Expr.Const c, Expr.Attr x) ),
+      Some jp ) ->
+    let same_type (y : Attr.t) =
+      Perm_value.Dtype.equal x.Attr.ty y.Attr.ty
+      && (Value.is_null c || Perm_value.Dtype.equal (Value.type_of c) x.Attr.ty)
+    in
+    List.filter_map
+      (function
+        | Expr.Binop (Expr.Eq, Expr.Attr a, Expr.Attr b) -> (
+          let other =
+            if Attr.equal a x then Some b else if Attr.equal b x then Some a else None
+          in
+          match other with
+          | Some y when attrs_subset (Attr.Set.singleton y) schema && same_type y ->
+            Some (Expr.Binop (Expr.Eq, Expr.Attr y, Expr.Const c))
+          | _ -> None)
+        | _ -> None)
+      (Expr.conjuncts jp)
+  | _ -> []
+
 (* Push one conjunct as far down as it goes; returns None if it was absorbed
    into the plan, or Some pred if it must stay above. *)
 let rec push_conjunct (pred : Expr.t) (plan : Plan.t) : Plan.t option =
@@ -355,15 +396,40 @@ let rec push_conjunct (pred : Expr.t) (plan : Plan.t) : Plan.t option =
   | Plan.Join { kind = (Plan.Inner | Plan.Cross) as kind; left; right; pred = jp }
     ->
     let pa = Expr.attrs pred in
-    if attrs_subset pa (Plan.schema left) then
-      Some (Plan.Join { kind; left = with_filter left pred; right; pred = jp })
-    else if attrs_subset pa (Plan.schema right) then
-      Some (Plan.Join { kind; left; right = with_filter right pred; pred = jp })
+    let ls = Plan.schema left and rs = Plan.schema right in
+    if attrs_subset pa ls then
+      Some
+        (Plan.Join
+           {
+             kind;
+             left = with_filter left pred;
+             right = with_filters right (carried pred jp rs);
+             pred = jp;
+           })
+    else if attrs_subset pa rs then
+      Some
+        (Plan.Join
+           {
+             kind;
+             left = with_filters left (carried pred jp ls);
+             right = with_filter right pred;
+             pred = jp;
+           })
+    else if is_join_key ls rs pred then
+      (* a join condition written in WHERE (the comma join) becomes part
+         of the join predicate, so the join hashes on it *)
+      let pred =
+        match jp with None -> pred | Some p -> Expr.Binop (Expr.And, p, pred)
+      in
+      Some (Plan.Join { kind = Plan.Inner; left; right; pred = Some pred })
     else None
-  | Plan.Join { kind = Plan.Semi | Plan.Anti; left; right; pred = jp } ->
-    let pa = Expr.attrs pred in
-    if attrs_subset pa (Plan.schema left) then
-      let kind = (match plan with Plan.Join { kind; _ } -> kind | _ -> assert false) in
+  | Plan.Join { kind = (Plan.Semi | Plan.Anti) as kind; left; right; pred = jp } ->
+    if attrs_subset (Expr.attrs pred) (Plan.schema left) then
+      let right =
+        match kind with
+        | Plan.Semi -> with_filters right (carried pred jp (Plan.schema right))
+        | _ -> right
+      in
       Some (Plan.Join { kind; left = with_filter left pred; right; pred = jp })
     else None
   | Plan.Sort { child; keys } ->
@@ -383,12 +449,20 @@ and with_filter plan pred =
       Plan.Filter { child; pred = Expr.Binop (Expr.And, p, pred) }
     | _ -> Plan.Filter { child = plan; pred })
 
+and with_filters plan preds = List.fold_left with_filter plan preds
+
 let rec pushdown (plan : Plan.t) : Plan.t =
   let plan = Plan.map_children pushdown plan in
   match plan with
   | Plan.Filter { child; pred } ->
-    let conjuncts = Expr.conjuncts pred in
-    List.fold_left (fun acc c -> with_filter acc c) child conjuncts
+    (* attribute equalities go first, so a join condition is already in
+       its join when a constant conjunct arrives there to be carried *)
+    let keys, rest =
+      List.partition
+        (function Expr.Binop (Expr.Eq, Expr.Attr _, Expr.Attr _) -> true | _ -> false)
+        (Expr.conjuncts pred)
+    in
+    with_filters child (keys @ rest)
   | p -> p
 
 (* ------------------------------------------------------------------ *)

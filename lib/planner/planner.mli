@@ -12,7 +12,11 @@
       zero are left in place to fail at runtime, as SQL requires);
     - predicate pushdown: filters move below projections (with
       substitution) and into the matching side of inner/cross joins —
-      never past outer joins, aggregates or limits;
+      never past outer joins, aggregates or limits. A join-key equality
+      that spans both sides of an inner/cross join joins its predicate
+      (a comma join becomes a hash join), and a constant pushed onto one
+      join key is carried to the other side of an inner, cross or semi
+      join;
     - projection pruning: unused projection columns and aggregate calls are
       dropped, and identity projections removed.
 

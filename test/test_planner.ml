@@ -241,6 +241,217 @@ let cost_tests =
         Alcotest.(check bool) "" true (Planner.estimate_rows stats lim <= 5.));
   ]
 
+(* ---- join conditions and constant carrying ------------------------ *)
+
+let optimized e sql =
+  match Engine.plan_query e sql with
+  | Ok (_, optimized) -> optimized
+  | Error msg -> Alcotest.failf "%s: %s" sql msg
+
+let rec fold_plan f acc (p : Plan.t) =
+  List.fold_left (fold_plan f) (f acc p) (Plan.children p)
+
+(* joins in pre-order: kind and the column names of each conjunct *)
+let joins plan =
+  List.rev
+    (fold_plan
+       (fun acc -> function
+         | Plan.Join { kind; pred; _ } ->
+           let conj =
+             match pred with
+             | None -> []
+             | Some p ->
+               List.map
+                 (fun c ->
+                   Expr.attrs c |> Attr.Set.elements
+                   |> List.map (fun (a : Attr.t) -> a.Attr.name)
+                   |> List.sort compare)
+                 (Expr.conjuncts p)
+           in
+           (kind, conj) :: acc
+         | _ -> acc)
+       [] plan)
+
+(* base tables read under a filter [col = 2] (or probed by an index) *)
+let filtered_tables plan =
+  let is_two = function
+    | Expr.Binop (Expr.Eq, Expr.Attr _, Expr.Const (Value.Int 2))
+    | Expr.Binop (Expr.Eq, Expr.Const (Value.Int 2), Expr.Attr _) ->
+      true
+    | _ -> false
+  in
+  List.sort compare
+    (fold_plan
+       (fun acc -> function
+         | Plan.Filter { child = Plan.Scan { table; _ }; pred }
+           when List.exists is_two (Expr.conjuncts pred) ->
+           table :: acc
+         | Plan.Index_scan { table; _ } -> table :: acc
+         | _ -> acc)
+       [] plan)
+
+let no_cross plan =
+  List.for_all (fun (kind, _) -> kind <> Plan.Cross) (joins plan)
+
+let join_tests =
+  let three_way () =
+    let e = engine () in
+    exec_all e
+      [
+        "CREATE TABLE x1 (k1 int, v int)";
+        "CREATE TABLE x2 (k1 int, k2 int)";
+        "CREATE TABLE x3 (k2 int, w int)";
+      ];
+    e
+  in
+  [
+    case "two-way comma join plans as a hash join" (fun () ->
+        let p = optimized (setup ()) "SELECT r.b, s.c FROM r, s WHERE r.a = s.a" in
+        Alcotest.(check bool) "no CrossJoin" true (no_cross p);
+        match joins p with
+        | [ (Plan.Inner, [ [ "a"; "a" ] ]) ] -> ()
+        | _ -> Alcotest.failf "expected Join [a = a]: %s" (Pretty.plan_summary p));
+    case "three-way comma join: each conjunct on its lowest join" (fun () ->
+        let e = three_way () in
+        List.iter
+          (fun sql ->
+            let p = optimized e sql in
+            Alcotest.(check bool) (sql ^ ": no CrossJoin") true (no_cross p);
+            (match joins p with
+            | [ (Plan.Inner, [ [ "k2"; "k2" ] ]); (Plan.Inner, [ [ "k1"; "k1" ] ]) ]
+              ->
+              ()
+            | _ -> Alcotest.failf "%s: %s" sql (Pretty.plan_summary p));
+            (* the non-equality spanning all three stays above as a filter *)
+            let rec top_filter = function
+              | Plan.Project { child; _ } -> top_filter child
+              | Plan.Filter { child = Plan.Join _; _ } -> true
+              | _ -> false
+            in
+            Alcotest.(check bool) (sql ^ ": v > w stays a filter") true
+              (top_filter p))
+          [
+            "SELECT x1.v FROM x1, x2, x3 WHERE x1.k1 = x2.k1 AND x2.k2 = x3.k2 \
+             AND x1.v > x3.w";
+            "SELECT x1.v FROM x1, x2, x3 WHERE x1.v > x3.w AND x2.k2 = x3.k2 \
+             AND x1.k1 = x2.k1";
+          ]);
+    case "a constant is carried across an inner join key, both ways"
+      (fun () ->
+        let e = setup () in
+        List.iter
+          (fun sql ->
+            Alcotest.(check (list string)) sql [ "r"; "s" ]
+              (filtered_tables (optimized e sql)))
+          [
+            "SELECT r.b, s.c FROM r JOIN s ON r.a = s.a WHERE r.a = 2";
+            "SELECT r.b, s.c FROM r JOIN s ON r.a = s.a WHERE s.a = 2";
+            "SELECT r.b, s.c FROM r, s WHERE r.a = 2 AND r.a = s.a";
+            "SELECT r.b, s.c FROM r, s WHERE s.a = 2 AND r.a = s.a";
+            (* through the projections the provenance rewrite stacks up *)
+            "SELECT PROVENANCE r.b, s.c FROM r JOIN s ON r.a = s.a WHERE r.a = 2";
+            "SELECT PROVENANCE r.b, s.c FROM r, s WHERE s.a = 2 AND r.a = s.a";
+            "SELECT x.b FROM (SELECT r.a AS k, r.b FROM r) x JOIN s ON x.k = \
+             s.a WHERE x.k = 2";
+            (* IN de-correlates to a semi join *)
+            "SELECT b FROM r WHERE a IN (SELECT a FROM s) AND a = 2";
+          ]);
+    case "nothing merged or carried where it is not sound" (fun () ->
+        let r_a = Attr.fresh "a" Dtype.Int and r_b = Attr.fresh "b" Dtype.Text in
+        let s_a = Attr.fresh "a" Dtype.Int and s_c = Attr.fresh "c" Dtype.Int in
+        let outer = Attr.fresh "o" Dtype.Int in
+        let r = Plan.Scan { table = "r"; attrs = [ r_a; r_b ] }
+        and s = Plan.Scan { table = "s"; attrs = [ s_a; s_c ] } in
+        let eq a b = Expr.Binop (Expr.Eq, a, b) in
+        let ra = Expr.Attr r_a and sa = Expr.Attr s_a in
+        let two = Expr.Const (Value.Int 2) in
+        let opt plan = Planner.optimize Planner.no_stats plan in
+        (* no carrying across Left, Full or Anti joins *)
+        List.iter
+          (fun kind ->
+            let p =
+              opt
+                (Plan.Filter
+                   {
+                     child = Plan.Join { kind; left = r; right = s; pred = Some (eq ra sa) };
+                     pred = eq ra two;
+                   })
+            in
+            Alcotest.(check bool)
+              (Plan.join_kind_name kind ^ ": build side unfiltered")
+              false
+              (List.mem "s" (filtered_tables p)))
+          [ Plan.Left; Plan.Full; Plan.Anti ];
+        (* nor for a non-equality constant conjunct *)
+        let p =
+          opt
+            (Plan.Filter
+               {
+                 child =
+                   Plan.Join { kind = Plan.Inner; left = r; right = s; pred = Some (eq ra sa) };
+                 pred = Expr.Binop (Expr.Gt, ra, two);
+               })
+        in
+        Alcotest.(check int) "r > 2 is not carried" 1
+          (fold_plan (fun n -> function Plan.Filter _ -> n + 1 | _ -> n) 0 p);
+        (* a spanning non-equality or a correlated equality stays above the
+           cross join *)
+        List.iter
+          (fun (what, pred) ->
+            match opt (Plan.Filter { child = Plan.Join { kind = Plan.Cross; left = r; right = s; pred = None }; pred }) with
+            | Plan.Filter { child = Plan.Join { kind = Plan.Cross; _ }; _ } -> ()
+            | p -> Alcotest.failf "%s merged: %s" what (Pretty.plan_summary p))
+          [
+            ("r.a < s.a", Expr.Binop (Expr.Lt, ra, sa));
+            ("r.a + o = s.a", eq (Expr.Binop (Expr.Add, ra, Expr.Attr outer)) sa);
+            ("r.a = o", eq ra (Expr.Attr outer));
+          ]);
+    case "comma-form forum and star queries: same rows with planner off"
+      (fun () ->
+        let run load sql config =
+          let e = engine () in
+          load e;
+          Engine.set_optimizer_config e config;
+          List.sort compare (strings_of_rows (query_ok e sql).Engine.rows)
+        in
+        let check load sql =
+          List.iter
+            (fun sql ->
+              Alcotest.(check rows_testable) sql
+                (run load sql Planner.disabled_config)
+                (run load sql Planner.default_config))
+            [ sql; "SELECT PROVENANCE " ^ String.sub sql 7 (String.length sql - 7) ]
+        in
+        let forum e = Perm_workload.Forum.load_scaled e ~messages:120 ~users:12 () in
+        List.iter (check forum)
+          [
+            "SELECT m.text, u.name FROM messages m, users u WHERE m.uid = u.uid";
+            "SELECT m.text, u.name FROM messages m, users u WHERE m.mid = 2 AND \
+             m.uid = u.uid";
+            "SELECT u.name, count(*) FROM messages m, users u WHERE m.uid = \
+             u.uid GROUP BY u.name";
+            "SELECT m.text, a.uid FROM messages m, approved a WHERE a.mid = 3 \
+             AND m.mid = a.mid";
+            "SELECT u.name, m.text FROM users u, messages m, approved a WHERE \
+             u.uid = a.uid AND a.mid = m.mid";
+          ];
+        let star e = Perm_workload.Star.load e ~scale:60 () in
+        List.iter (check star)
+          [
+            "SELECT p.brand, count(*) AS items, sum(l.qty) FROM lineitem l, \
+             part p WHERE l.partkey = p.partkey GROUP BY p.brand";
+            "SELECT c.name, count(*), sum(l.qty) FROM customer c, orders o, \
+             lineitem l WHERE c.custkey = o.custkey AND o.orderkey = \
+             l.orderkey GROUP BY c.custkey, c.name HAVING sum(l.qty) > 50";
+            "SELECT c.segment, count(*) FROM customer c, orders o, lineitem l \
+             WHERE o.orderkey = l.orderkey AND c.segment = 'BUILDING' AND \
+             c.custkey = o.custkey AND o.odate >= DATE '1995-01-01' GROUP BY \
+             c.segment";
+            "SELECT o.orderkey, l.qty FROM orders o, lineitem l WHERE \
+             o.orderkey = 3 AND o.orderkey = l.orderkey";
+          ]);
+  ]
+
 let () =
   Alcotest.run "planner"
     [
@@ -248,4 +459,5 @@ let () =
       ("folding", folding_tests);
       ("structure", structure_tests);
       ("cost", cost_tests);
+      ("joins", join_tests);
     ]

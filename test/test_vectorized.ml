@@ -9,8 +9,13 @@
 
 module Engine = Perm_engine.Engine
 module Executor = Perm_executor.Executor
+module Pool = Perm_executor.Pool
 module Metrics = Perm_obs.Metrics
 module Value = Perm_value.Value
+module Dtype = Perm_value.Dtype
+module Plan = Perm_algebra.Plan
+module Expr = Perm_algebra.Expr
+module Attr = Perm_algebra.Attr
 open Perm_testkit.Kit
 
 let domains =
@@ -215,6 +220,214 @@ let suite_morsel_sizing =
         Engine.close e);
   ]
 
+(* ---- join tables ------------------------------------------------- *)
+
+(* Every join build site shares one hash table, typed for single Int,
+   Date and Text keys. These joins run straight on the executor over
+   fixture tables (key column, then payload) that hold NULL keys,
+   duplicate keys and values off their column's type — which no SQL
+   statement can store — on the row path, the batch path at every batch
+   size and the parallel paths. All must return byte-identical rows, and
+   the row path must equal a nested-loop evaluation of the join. *)
+
+let big = 9007199254740992 (* 2^53: Int neighbours share one Float *)
+
+let jt_tables =
+  let d n = Value.Date n in
+  [
+    ( "ints_l",
+      Dtype.Int,
+      [ [ i 1; s "a" ]; [ nl; s "b" ]; [ i 2; s "c" ]; [ i 2; s "d" ];
+        [ i 7; s "e" ]; [ nl; s "f" ]; [ i (big + 1); s "g" ] ] );
+    ( "ints_r",
+      Dtype.Int,
+      [ [ i 2; s "p" ]; [ nl; s "q" ]; [ i 1; s "r" ]; [ i 2; s "s" ];
+        [ i 9; s "t" ]; [ nl; s "u" ]; [ i big; s "v" ]; [ i (big + 1); s "w" ] ] );
+    (* probe values off the Int type: a Float equal to an Int, a Float
+       equal to two Ints, a fraction, a Text and a Date *)
+    ( "odd_l",
+      Dtype.Int,
+      [ [ f 2.0; s "a" ]; [ i 1; s "b" ]; [ f (float_of_int big); s "c" ];
+        [ f 2.5; s "d" ]; [ s "2"; s "e" ]; [ d 2; s "f" ]; [ nl; s "g" ] ] );
+    (* a build value off the Int type sends the build to the generic
+       table *)
+    ( "odd_r",
+      Dtype.Int,
+      [ [ i 2; s "p" ]; [ f 1.0; s "q" ]; [ nl; s "r" ]; [ i (big + 1); s "s" ];
+        [ i 2; s "t" ] ] );
+    ( "dates_l",
+      Dtype.Date,
+      [ [ d 10; s "a" ]; [ nl; s "b" ]; [ d 11; s "c" ]; [ d 10; s "d" ];
+        [ i 10; s "e" ] ] );
+    ( "dates_r",
+      Dtype.Date,
+      [ [ d 11; s "p" ]; [ d 10; s "q" ]; [ nl; s "r" ]; [ d 10; s "s" ];
+        [ d 12; s "t" ] ] );
+    ( "texts_l",
+      Dtype.Text,
+      [ [ s "x"; s "a" ]; [ s ""; s "b" ]; [ nl; s "c" ]; [ s "y"; s "d" ];
+        [ s "x"; s "e" ]; [ i 1; s "f" ] ] );
+    ( "texts_r",
+      Dtype.Text,
+      [ [ s "y"; s "p" ]; [ s "x"; s "q" ]; [ nl; s "r" ]; [ s ""; s "s" ];
+        [ s "x"; s "t" ]; [ s "z"; s "u" ] ] );
+  ]
+
+let jt_rows table =
+  let _, _, rows = List.find (fun (n, _, _) -> n = table) jt_tables in
+  List.map row rows
+
+let jt_provider : Executor.provider =
+  {
+    Executor.scan_table = (fun t -> List.to_seq (jt_rows t));
+    Executor.probe_index = (fun _ _ _ -> Seq.empty);
+    Executor.scan_morsels =
+      (fun t n -> Executor.morsels_of_list ~morsel_rows:n (jt_rows t));
+    Executor.scan_batches =
+      (fun t n -> Executor.batches_of_list ~arity:2 ~batch_rows:n (jt_rows t));
+  }
+
+let jt_scan table =
+  let _, ty, _ = List.find (fun (n, _, _) -> n = table) jt_tables in
+  let attrs = [ Attr.fresh "k" ty; Attr.fresh "p" Dtype.Text ] in
+  (Plan.Scan { table; attrs }, attrs)
+
+(* [l = r], or the null-safe form the provenance rejoin emits *)
+let key_eq ~null_safe l r =
+  let eq = Expr.Binop (Expr.Eq, Expr.Attr l, Expr.Attr r) in
+  if not null_safe then eq
+  else
+    Expr.Binop
+      ( Expr.Or,
+        eq,
+        Expr.Binop
+          ( Expr.And,
+            Expr.Unop (Expr.Is_null, Expr.Attr l),
+            Expr.Unop (Expr.Is_null, Expr.Attr r) ) )
+
+(* The join's definition, evaluated as a nested loop. *)
+let nested_loop kind ~matches lrows rrows =
+  let pad n = Array.make n Value.Null in
+  let hits l = List.filter (matches l) rrows in
+  let main =
+    List.concat_map
+      (fun l ->
+        match kind, hits l with
+        | Plan.Semi, hs -> if hs <> [] then [ l ] else []
+        | Plan.Anti, hs -> if hs = [] then [ l ] else []
+        | (Plan.Left | Plan.Full), [] -> [ Array.append l (pad 2) ]
+        | _, hs -> List.map (Array.append l) hs)
+      lrows
+  in
+  match kind with
+  | Plan.Full ->
+    main
+    @ List.filter_map
+        (fun r ->
+          if List.exists (fun l -> matches l r) lrows then None
+          else Some (Array.append (pad 2) r))
+        rrows
+  | _ -> main
+
+(* constructor-tagged, so an Int never passes for an equal Float *)
+let show_rows rows =
+  List.map
+    (fun r ->
+      List.map
+        (fun v -> Dtype.to_string (Value.type_of v) ^ ":" ^ Value.to_string v)
+        (Array.to_list r))
+    rows
+
+let ok_rows what = function
+  | Ok rows -> show_rows rows
+  | Error msg -> Alcotest.failf "%s: %s" what msg
+
+let check_join pool ~ltable ~rtable ~keys ~null_safe kind =
+  let left, lattrs = jt_scan ltable and right, rattrs = jt_scan rtable in
+  let key_cols = List.init keys Fun.id in
+  let pred =
+    Expr.conjoin
+      (List.map
+         (fun c -> key_eq ~null_safe (List.nth lattrs c) (List.nth rattrs c))
+         key_cols)
+  in
+  let plan = Plan.Join { kind; left; right; pred = Some pred } in
+  let name =
+    Printf.sprintf "%s %s %s keys=%d%s" ltable (Plan.join_kind_name kind)
+      rtable keys
+      (if null_safe then " null-safe" else "")
+  in
+  let matches (l : Value.t array) (r : Value.t array) =
+    List.for_all
+      (fun c ->
+        match l.(c), r.(c) with
+        | Value.Null, Value.Null -> null_safe
+        | a, b -> Value.equal a b)
+      key_cols
+  in
+  let oracle = ok_rows name (Executor.run ~provider:jt_provider plan) in
+  Alcotest.(check rows_testable)
+    (name ^ " [row = nested loop]")
+    (show_rows (nested_loop kind ~matches (jt_rows ltable) (jt_rows rtable)))
+    oracle;
+  let parallel ?batch_rows () =
+    match
+      Executor.Par.prepare ~provider:jt_provider ~pool ~morsel_rows:2
+        ?batch_rows plan
+    with
+    | None -> None
+    | Some run -> Some (Result.map fst (run ()))
+  in
+  (match parallel () with
+  | None -> ()
+  | Some res ->
+    Alcotest.(check rows_testable) (name ^ " [row = parallel rows]") oracle
+      (ok_rows name res));
+  List.iter
+    (fun bn ->
+      Alcotest.(check rows_testable)
+        (Printf.sprintf "%s [row = batch, batch_rows=%d]" name bn)
+        oracle
+        (ok_rows name (Executor.run ~batch_rows:bn ~provider:jt_provider plan));
+      match parallel ~batch_rows:bn () with
+      | None -> ()
+      | Some res ->
+        Alcotest.(check rows_testable)
+          (Printf.sprintf "%s [row = parallel batch, batch_rows=%d]" name bn)
+          oracle (ok_rows name res))
+    batch_sizes
+
+let suite_join_tables =
+  let pairs =
+    [
+      ("ints_l", "ints_r", 1);
+      ("odd_l", "ints_r", 1);
+      ("ints_l", "odd_r", 1);
+      ("odd_l", "odd_r", 1);
+      ("dates_l", "dates_r", 1);
+      ("texts_l", "texts_r", 1);
+      ("ints_l", "ints_l", 2);
+      ("texts_l", "texts_r", 2);
+    ]
+  in
+  [
+    case "typed and generic join tables: row = nested loop = batch = parallel"
+      (fun () ->
+        let pool = Pool.create domains in
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            List.iter
+              (fun (ltable, rtable, keys) ->
+                List.iter
+                  (fun null_safe ->
+                    List.iter
+                      (check_join pool ~ltable ~rtable ~keys ~null_safe)
+                      [ Plan.Inner; Plan.Left; Plan.Full; Plan.Semi; Plan.Anti ])
+                  [ false; true ])
+              pairs));
+  ]
+
 let () =
   Alcotest.run "vectorized"
     [
@@ -222,4 +435,5 @@ let () =
       ("dispatch", suite_dispatch);
       ("profiler", suite_profiler);
       ("morsel-sizing", suite_morsel_sizing);
+      ("join-tables", suite_join_tables);
     ]
