@@ -78,7 +78,19 @@ type bundle = {
   bu_fingerprint : string;
   bu_sql : string;
   bu_detail : string;
-  bu_doc : Perm_obs.Json.t;
+  bu_doc : unit -> Perm_obs.Json.t;
+      (* builds the document from values snapshotted at capture; its
+         recorder events stay records until then, because as JSON they
+         are four fifths of a retained bundle *)
+}
+
+(* What the GC alarm stashes at the end of a major cycle, for the next
+   statement to record. A record of its own so the alarm holds this and
+   not the session. *)
+type gc_note = {
+  mutable pending : bool;
+  mutable heap_words : int;  (* heap size at that major cycle *)
+  mutable major_collections : int;  (* major count at that cycle *)
 }
 
 type t = {
@@ -150,13 +162,12 @@ type t = {
   mutable stmt_metrics0 : (string * float) list;
       (* forensics-tracked metric values at top-level statement start, so
          a bundle can report the delta the statement caused *)
-  mutable gc_pending : bool;
-      (* a major cycle ended since the last statement; the alarm only
-         flips this flag (recording from inside the alarm would mutate
-         the ring on every [Gc.compact], which breaks benchmark harnesses
-         that compact until the live-word count stabilizes) *)
-  mutable gc_heap_words : int;  (* heap size at that major cycle *)
-  mutable gc_major_collections : int;  (* major count at that cycle *)
+  gc_note : gc_note;
+      (* [pending]: a major cycle ended since the last statement; the
+         alarm only fills this note (recording from inside the alarm
+         would mutate the ring on every [Gc.compact], which breaks
+         benchmark harnesses that compact until the live-word count
+         stabilizes) *)
   mutable on_close : (unit -> unit) list;  (* run (LIFO) by [close] *)
 }
 
@@ -526,9 +537,7 @@ let create () =
       bundle_dir = None;
       stmt_degraded = None;
       stmt_metrics0 = [];
-      gc_pending = false;
-      gc_heap_words = 0;
-      gc_major_collections = 0;
+      gc_note = { pending = false; heap_words = 0; major_collections = 0 };
       on_close = [];
     }
   in
@@ -540,24 +549,30 @@ let create () =
      heap on every collection, so a harness that compacts repeatedly
      waiting for the live-word count to settle (Bechamel does) would
      never converge. The alarm only stashes the stats into unboxed
-     fields; the next statement emits the event. *)
+     fields; the next statement emits the event. The alarm holds only
+     the note, so a session dropped without [close] is still collected,
+     and its finaliser deletes the alarm. *)
+  let note = t.gc_note in
   let alarm =
     Gc.create_alarm (fun () ->
         let s = Gc.quick_stat () in
-        t.gc_heap_words <- s.Gc.heap_words;
-        t.gc_major_collections <- s.Gc.major_collections;
-        t.gc_pending <- true)
+        note.heap_words <- s.Gc.heap_words;
+        note.major_collections <- s.Gc.major_collections;
+        note.pending <- true)
   in
   t.on_close <- (fun () -> Gc.delete_alarm alarm) :: t.on_close;
+  Gc.finalise (fun _ -> Gc.delete_alarm alarm) t;
   (* Spill milestones (runs, chunks, batch-path fallback reasons) fire
      from inside the executor on whatever domain spilled; the recorder is
      domain-safe. The tap is process-global, so the engine created last
      owns it — the right semantics for the one-engine-per-process CLI and
-     harmless in multi-engine tests. *)
+     harmless in multi-engine tests. It holds the recorder, not the
+     session, so it does not keep a dropped session alive. *)
+  let recorder = t.recorder in
   Spill.set_observer
     (Some
        (fun kind detail ->
-         Recorder.record t.recorder (Recorder.Spill { kind; detail })));
+         Recorder.record recorder (Recorder.Spill { kind; detail })));
   t
 
 type result_set = { columns : string list; rows : Tuple.t list }
@@ -1133,7 +1148,13 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
     let id = t.bundle_seq in
     t.bundle_seq <- id + 1;
     let events = Recorder.recent ~limit:bundle_events_limit t.recorder in
-    let doc =
+    let plan = plan_json t ~fingerprint ~plan_hash ~est_rows
+    and metrics_delta = Json.Obj (forensics_delta t)
+    and wal = wal_status_json t
+    and spill = spill_json ()
+    and settings = settings_json t
+    and gc = gc_json () in
+    let doc () =
       Json.Obj
         [
           ("schema", Json.String Bundle_schema.schema_tag);
@@ -1145,14 +1166,14 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
           ("fingerprint", Json.String fingerprint);
           ("ms", Json.Float ms);
           ("rows", Json.Int rows);
-          ("plan", plan_json t ~fingerprint ~plan_hash ~est_rows);
+          ("plan", plan);
           ("phases", Json.Obj (List.map (fun (n, d) -> (n, Json.Float d)) phases));
-          ("metrics_delta", Json.Obj (forensics_delta t));
+          ("metrics_delta", metrics_delta);
           ("events", Json.List (List.map Recorder.event_to_json events));
-          ("wal", wal_status_json t);
-          ("spill", spill_json ());
-          ("settings", settings_json t);
-          ("gc", gc_json ());
+          ("wal", wal);
+          ("spill", spill);
+          ("settings", settings);
+          ("gc", gc);
         ]
     in
     let b =
@@ -1179,7 +1200,7 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
         mkdir_p dir;
         let path = Filename.concat dir (Printf.sprintf "bundle-%06d.json" id) in
         Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Json.to_pretty_string doc));
+            Out_channel.output_string oc (Json.to_pretty_string (doc ())));
         let victim = id - t.bundle_cap in
         if victim >= 1 then
           try
@@ -1826,11 +1847,13 @@ let logged_insert t name heap rows =
          ));
   result
 
-(* [replace_all] is atomic (validates everything first), so on [Ok] the
-   heap holds exactly [rows]. *)
-let logged_replace t name heap rows =
-  let result = Heap.replace_all heap rows in
-  (match result with Ok () -> wal_append t (Wal.Replace (name, rows)) | Error _ -> ());
+(* [apply_delta] is atomic (validates everything first), so on [Ok] the
+   heap changed by exactly the logged delta. *)
+let logged_delta t name heap ~deleted ~appended =
+  let result = Heap.apply_delta heap ~deleted ~appended in
+  (match result with
+  | Ok () -> wal_append t (Wal.Delta (name, deleted, appended))
+  | Error _ -> ());
   result
 
 let logged_truncate t name heap =
@@ -1900,6 +1923,19 @@ let matching_rows t name where =
   let* rs = run_query t (Ast.select_query select) in
   Ok rs.rows
 
+(* Ascending heap positions of every row equal to a matched row. *)
+let victim_positions heap matched =
+  if matched = [] then [||]
+  else begin
+    let victims = Tuple.Hash.create 64 in
+    List.iter (fun r -> Tuple.Hash.replace victims r ()) matched;
+    let acc = ref [] in
+    List.iteri
+      (fun pos r -> if Tuple.Hash.mem victims r then acc := pos :: !acc)
+      (Heap.to_list heap);
+    Array.of_list (List.rev !acc)
+  end
+
 let delete_rows t name where =
   let* _def, heap = find_heap t name in
   match where with
@@ -1909,14 +1945,9 @@ let delete_rows t name where =
     Ok n
   | Some _ ->
     let* matched = matching_rows t name where in
-    let victims = Tuple.Hash.create 64 in
-    List.iter (fun r -> Tuple.Hash.replace victims r ()) matched;
-    let keep =
-      List.filter (fun r -> not (Tuple.Hash.mem victims r)) (Heap.to_list heap)
-    in
-    let deleted = Heap.row_count heap - List.length keep in
-    let* () = dat (logged_replace t name heap keep) in
-    Ok deleted
+    let deleted = victim_positions heap matched in
+    let* () = dat (logged_delta t name heap ~deleted ~appended:[]) in
+    Ok (Array.length deleted)
 
 let update_rows t name assigns where =
   let* def, heap = find_heap t name in
@@ -1950,12 +1981,8 @@ let update_rows t name assigns where =
   in
   let* updated = run_query t (Ast.select_query select) in
   let* matched = matching_rows t name where in
-  let victims = Tuple.Hash.create 64 in
-  List.iter (fun r -> Tuple.Hash.replace victims r ()) matched;
-  let keep =
-    List.filter (fun r -> not (Tuple.Hash.mem victims r)) (Heap.to_list heap)
-  in
-  let* () = dat (logged_replace t name heap (keep @ updated.rows)) in
+  let deleted = victim_positions heap matched in
+  let* () = dat (logged_delta t name heap ~deleted ~appended:updated.rows) in
   Ok (List.length updated.rows)
 
 (* ------------------------------------------------------------------ *)
@@ -2381,9 +2408,10 @@ let enable_wal t dir =
             Result.bind (heap_of name) (fun h -> Heap.insert_all h rows));
         Wal.ap_truncate =
           (fun name -> Result.map (fun h -> Heap.truncate h) (heap_of name));
-        Wal.ap_replace =
-          (fun name rows ->
-            Result.bind (heap_of name) (fun h -> Heap.replace_all h rows));
+        Wal.ap_delta =
+          (fun name deleted appended ->
+            Result.bind (heap_of name) (fun h ->
+                Heap.apply_delta h ~deleted ~appended));
         Wal.ap_prov =
           (fun name cols ->
             Hashtbl.replace t.prov_tables (String.lowercase_ascii name) cols;
@@ -2575,13 +2603,13 @@ let execute_statement t sql (st : Ast.statement) =
     if Recorder.enabled t.recorder then
       t.stmt_metrics0 <- forensics_snapshot t;
     (* flush the major-cycle note the GC alarm stashed (see [create]) *)
-    if t.gc_pending then begin
-      t.gc_pending <- false;
+    if t.gc_note.pending then begin
+      t.gc_note.pending <- false;
       Recorder.record t.recorder
         (Recorder.Gc_major
            {
-             heap_words = t.gc_heap_words;
-             major_collections = t.gc_major_collections;
+             heap_words = t.gc_note.heap_words;
+             major_collections = t.gc_note.major_collections;
            })
     end;
     Recorder.record t.recorder
@@ -2834,10 +2862,10 @@ module Forensics = struct
   let get t id =
     obs_locked t (fun () ->
         match List.find_opt (fun b -> b.bu_id = id) t.bundles with
-        | Some b -> Some b.bu_doc
+        | Some b -> Some (b.bu_doc ())
         | None -> None)
 
   let last t =
     obs_locked t (fun () ->
-        match t.bundles with b :: _ -> Some b.bu_doc | [] -> None)
+        match t.bundles with b :: _ -> Some (b.bu_doc ()) | [] -> None)
 end

@@ -130,7 +130,8 @@ val last_trace : t -> Perm_obs.Trace.span option
 
     - [perm_stat_statements] — per-fingerprint calls, errors, rows,
       total/mean/max and per-phase milliseconds, rewrite-rule firings and
-      the provenance flag;
+      the provenance flag (at most {!Perm_obs.Stats.max_statements}
+      fingerprints, the least-called evicted first);
     - [perm_stat_relations] — per-base-relation scan and row counters
       (populated when instrumentation is on or under [EXPLAIN ANALYZE]);
     - [perm_stat_plans] — the retained plan-node profile: per

@@ -32,6 +32,29 @@ type t = {
 
 let create () = { stmts = Hashtbl.create 32; rels = Hashtbl.create 16 }
 
+(* Fingerprints kept, like the history store's bound: a session whose
+   statements keep naming new tables would otherwise grow the
+   accumulator without limit. *)
+let max_statements = 256
+
+(* Make room for a new fingerprint by dropping the least-called one
+   (ties: the smallest fingerprint), as pg_stat_statements evicts its
+   least-used entries. *)
+let evict_one t =
+  let victim =
+    Hashtbl.fold
+      (fun _ st acc ->
+        match acc with
+        | Some v
+          when v.st_calls < st.st_calls
+               || (v.st_calls = st.st_calls && v.st_fingerprint < st.st_fingerprint)
+          ->
+          acc
+        | _ -> Some st)
+      t.stmts None
+  in
+  Option.iter (fun v -> Hashtbl.remove t.stmts v.st_fingerprint) victim
+
 let reset t =
   Hashtbl.reset t.stmts;
   Hashtbl.reset t.rels
@@ -72,6 +95,7 @@ let record_statement t ~fingerprint ~sql ~ms ~phases ~rules ~provenance ~rows
           st_provenance = provenance;
         }
       in
+      if Hashtbl.length t.stmts >= max_statements then evict_one t;
       Hashtbl.replace t.stmts fingerprint st;
       st
   in

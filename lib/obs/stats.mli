@@ -4,7 +4,9 @@
     by the caller, so this module has no dependency on the SQL frontend);
     base relations by name. The engine records into an accumulator it owns
     and serves the contents back as the [perm_stat_statements] and
-    [perm_stat_relations] system views. *)
+    [perm_stat_relations] system views. At most {!max_statements}
+    fingerprints are kept: a new one beyond that evicts the least-called
+    entry. *)
 
 type statement_stat = private {
   st_fingerprint : string;
@@ -28,6 +30,10 @@ type relation_stat = private {
 type t
 
 val create : unit -> t
+
+val max_statements : int
+(** Bound on retained fingerprints (256, like the history store). *)
+
 val reset : t -> unit
 
 val record_statement :

@@ -21,8 +21,11 @@ type index = int list Value_hash.t
 
 type t = {
   schema : Schema.t;
+  cols : Column.t array;
   rows : Tuple.t Vec.t;
-  mutable distinct_cache : int array option;
+  distinct : int array;
+      (* per-column distinct counts, -1 until first asked for after the
+         last mutation *)
   mutable batch_cache : (int * Batch.t array) option;
       (* (batch_rows, columnar image) — transposed once per table version
          and shared by every vectorized scan until the next mutation *)
@@ -30,10 +33,12 @@ type t = {
 }
 
 let create schema =
+  let cols = Array.of_list (Schema.columns schema) in
   {
     schema;
+    cols;
     rows = Vec.create ();
-    distinct_cache = None;
+    distinct = Array.make (Array.length cols) (-1);
     batch_cache = None;
     indexes = Hashtbl.create 4;
   }
@@ -41,15 +46,9 @@ let create schema =
 let copy t =
   let indexes = Hashtbl.create (Hashtbl.length t.indexes) in
   Hashtbl.iter (fun col idx -> Hashtbl.replace indexes col (Value_hash.copy idx)) t.indexes;
-  {
-    schema = t.schema;
-    rows = Vec.copy t.rows;
-    distinct_cache = t.distinct_cache;
-    (* batches are immutable, so the image can be shared; each copy
-       invalidates its own cache on its own mutations *)
-    batch_cache = t.batch_cache;
-    indexes;
-  }
+  (* [batch_cache] is shared: batches are immutable, and each copy
+     invalidates its own cache on its own mutations *)
+  { t with rows = Vec.copy t.rows; distinct = Array.copy t.distinct; indexes }
 
 let schema t = t.schema
 let row_count t = Vec.length t.rows
@@ -72,32 +71,43 @@ let coerce_cell (col : Column.t) v =
            (Dtype.to_string (Value.type_of v))
            (Value.to_string v))
 
-let insert t row =
-  Perm_fault.trip fp_insert;
-  let cols = Array.of_list (Schema.columns t.schema) in
-  if Array.length row <> Array.length cols then
+(* Validate a row's arity and coerce its cells into a fresh tuple; the
+   heap is not touched. *)
+let stage t row =
+  if Array.length row <> Array.length t.cols then
     Error
-      (Printf.sprintf "expected %d values, got %d" (Array.length cols)
+      (Printf.sprintf "expected %d values, got %d" (Array.length t.cols)
          (Array.length row))
   else
     let out = Array.make (Array.length row) Value.Null in
     let rec fill i =
-      if i >= Array.length row then begin
-        let pos = Vec.length t.rows in
-        Vec.push t.rows out;
-        Hashtbl.iter (fun col idx -> index_add idx out.(col) pos) t.indexes;
-        t.distinct_cache <- None;
-        t.batch_cache <- None;
-        Ok ()
-      end
+      if i >= Array.length row then Ok out
       else
-        match coerce_cell cols.(i) row.(i) with
+        match coerce_cell t.cols.(i) row.(i) with
         | Ok v ->
           out.(i) <- v;
           fill (i + 1)
         | Error e -> Error e
     in
     fill 0
+
+let push t out =
+  let pos = Vec.length t.rows in
+  Vec.push t.rows out;
+  Hashtbl.iter (fun col idx -> index_add idx out.(col) pos) t.indexes
+
+let invalidate t =
+  Array.fill t.distinct 0 (Array.length t.distinct) (-1);
+  t.batch_cache <- None
+
+let insert t row =
+  Perm_fault.trip fp_insert;
+  match stage t row with
+  | Error e -> Error e
+  | Ok out ->
+    push t out;
+    invalidate t;
+    Ok ()
 
 let insert_all t rows =
   let rec go = function
@@ -106,55 +116,61 @@ let insert_all t rows =
   in
   go rows
 
-(* All-or-nothing rebuild for DELETE/UPDATE: every row is validated and
-   coerced into a staging list before the heap is touched, so a bad row —
-   or an injected fault, tripped before any mutation — leaves the table
-   exactly as it was. The commit step below is pure pushes and cannot
-   fail. *)
-let replace_all t rows =
+(* Position [p] once the ascending [deleted] positions are gone, or -1
+   when [p] is one of them. *)
+let shifted deleted p =
+  let lo = ref 0 and hi = ref (Array.length deleted) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if deleted.(mid) < p then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length deleted && deleted.(!lo) = p then -1 else p - !lo
+
+(* Index position lists are newest first, so a list whose head precedes
+   the first deleted position is unchanged. *)
+let remap_index deleted idx =
+  Value_hash.filter_map_inplace
+    (fun _ positions ->
+      match positions with
+      | p :: _ when p < deleted.(0) -> Some positions
+      | _ -> (
+        match
+          List.filter_map
+            (fun p ->
+              let q = shifted deleted p in
+              if q < 0 then None else Some q)
+            positions
+        with
+        | [] -> None
+        | l -> Some l))
+    idx
+
+(* All-or-nothing row delta for DELETE/UPDATE: the fault point trips,
+   every appended row is staged and the positions are checked before
+   the first mutation, so an error — or an injected fault — leaves the
+   table and its indexes exactly as they were. *)
+let apply_delta t ~deleted ~appended =
   Perm_fault.trip fp_insert;
-  let cols = Array.of_list (Schema.columns t.schema) in
-  let stage row =
-    if Array.length row <> Array.length cols then
-      Error
-        (Printf.sprintf "expected %d values, got %d" (Array.length cols)
-           (Array.length row))
-    else
-      let out = Array.make (Array.length row) Value.Null in
-      let rec fill i =
-        if i >= Array.length row then Ok out
-        else
-          match coerce_cell cols.(i) row.(i) with
-          | Ok v ->
-            out.(i) <- v;
-            fill (i + 1)
-          | Error e -> Error e
-      in
-      fill 0
-  in
-  let rec go acc = function
+  let rec stage_all acc = function
     | [] -> Ok (List.rev acc)
-    | r :: rest -> ( match stage r with Ok o -> go (o :: acc) rest | Error e -> Error e)
+    | r :: rest -> (
+      match stage t r with Ok o -> stage_all (o :: acc) rest | Error e -> Error e)
   in
-  match go [] rows with
+  match stage_all [] appended with
   | Error e -> Error e
-  | Ok staged ->
-    Vec.clear t.rows;
-    Hashtbl.iter (fun _ idx -> Value_hash.reset idx) t.indexes;
-    List.iter
-      (fun out ->
-        let pos = Vec.length t.rows in
-        Vec.push t.rows out;
-        Hashtbl.iter (fun col idx -> index_add idx out.(col) pos) t.indexes)
-      staged;
-    t.distinct_cache <- None;
-    t.batch_cache <- None;
-    Ok ()
+  | Ok staged -> (
+    match Vec.remove_sorted t.rows deleted with
+    | exception Invalid_argument msg -> Error msg
+    | () ->
+      if Array.length deleted > 0 then
+        Hashtbl.iter (fun _ idx -> remap_index deleted idx) t.indexes;
+      List.iter (push t) staged;
+      if Array.length deleted > 0 || staged <> [] then invalidate t;
+      Ok ())
 
 let truncate t =
   Vec.clear t.rows;
-  t.distinct_cache <- None;
-  t.batch_cache <- None;
+  invalidate t;
   (* keep index definitions, drop their contents *)
   Hashtbl.iter (fun _ idx -> Value_hash.reset idx) t.indexes
 
@@ -200,26 +216,48 @@ let scan_batches t ~rows =
     t.batch_cache <- Some (size, batches);
     batches
 
-let distinct_estimate t col =
-  let counts =
-    match t.distinct_cache with
-    | Some c -> c
-    | None ->
-      let arity = Schema.arity t.schema in
-      let sets = Array.init arity (fun _ -> Hashtbl.create 64) in
-      Vec.iter
-        (fun row ->
-          Array.iteri
-            (fun i v -> Hashtbl.replace sets.(i) (Value.hash v, v) ())
-            row)
-        t.rows;
-      let c = Array.map Hashtbl.length sets in
-      t.distinct_cache <- Some c;
-      c
+module Int_set = Hashtbl.Make (Int)
+module String_set = Hashtbl.Make (String)
+
+exception Off_type
+
+(* Distinct values of one column, NULL counting as one value. Int, Date
+   and Text columns hash the unboxed payload; other types, or a column
+   holding an off-type value, take the generic path, which keys on
+   [(Value.hash v, v)] under structural equality (so NaN is one value
+   and -0.0 equals 0.0). Both paths count the same values. *)
+let count_distinct t col =
+  let typed (type k) (module H : Hashtbl.S with type key = k) unbox =
+    let set = H.create 64 and null = ref 0 in
+    Vec.iter
+      (fun row ->
+        match row.(col) with
+        | Value.Null -> null := 1
+        | v -> H.replace set (unbox v) ())
+      t.rows;
+    H.length set + !null
   in
-  if col < 0 || col >= Array.length counts then
-    invalid_arg "Heap.distinct_estimate: column out of range"
-  else counts.(col)
+  let generic () =
+    let set = Hashtbl.create 64 in
+    Vec.iter (fun row -> let v = row.(col) in Hashtbl.replace set (Value.hash v, v) ()) t.rows;
+    Hashtbl.length set
+  in
+  try
+    match t.cols.(col).ty with
+    | Dtype.Int ->
+      typed (module Int_set) (function Value.Int i -> i | _ -> raise Off_type)
+    | Dtype.Date ->
+      typed (module Int_set) (function Value.Date d -> d | _ -> raise Off_type)
+    | Dtype.Text ->
+      typed (module String_set) (function Value.Text s -> s | _ -> raise Off_type)
+    | Dtype.Float | Dtype.Bool | Dtype.Any -> generic ()
+  with Off_type -> generic ()
+
+let distinct_estimate t col =
+  if col < 0 || col >= Array.length t.distinct then
+    invalid_arg "Heap.distinct_estimate: column out of range";
+  if t.distinct.(col) < 0 then t.distinct.(col) <- count_distinct t col;
+  t.distinct.(col)
 
 let create_index t col =
   if col < 0 || col >= Schema.arity t.schema then

@@ -9,7 +9,8 @@ val create : Perm_catalog.Schema.t -> t
 
 val copy : t -> t
 (** Snapshot for transactions: rows are shared (tuples are never mutated in
-    place — DML rebuilds), index structures are duplicated. *)
+    place — DML removes and appends whole rows), the row vector and the
+    index structures are duplicated. *)
 
 val schema : t -> Perm_catalog.Schema.t
 val row_count : t -> int
@@ -18,11 +19,16 @@ val insert_all : t -> Tuple.t list -> (unit, string) result
 (** Fails atomically-per-row: rows before the offending one are kept (the
     engine wraps DML so callers see the error). *)
 
-val replace_all : t -> Tuple.t list -> (unit, string) result
-(** Atomically replace the heap's contents: every row is validated (and
-    type-coerced) {e before} the first mutation, so on [Error] — or an
-    injected [heap.insert] fault — the table and its indexes are
-    untouched. The write path behind DELETE/UPDATE rebuilds. *)
+val apply_delta :
+  t -> deleted:int array -> appended:Tuple.t list -> (unit, string) result
+(** The write path behind DELETE and UPDATE: remove the rows at
+    [deleted] (strictly ascending positions) in place, then append
+    [appended], so the heap holds the surviving rows in their old order
+    followed by the new ones. All-or-nothing: the [heap.insert] fault
+    point trips, every appended row is validated (and type-coerced) and
+    the positions are checked {e before} the first mutation, so on
+    [Error] — or an injected fault — the table and its indexes are
+    untouched. *)
 
 val truncate : t -> unit
 val scan : t -> Tuple.t Seq.t
@@ -46,16 +52,17 @@ val scan_batches : t -> rows:int -> Batch.t array
 
 val distinct_estimate : t -> int -> int
 (** [distinct_estimate h col] is the exact number of distinct values in
-    column [col], computed on demand and cached until the next write. Used
+    column [col] (NULL counts as one value), computed for that column
+    alone on first use and cached until the next write. Used
     by the planner's cardinality model (paper: "cost-based solution for
     choosing the best rewrite strategy"). *)
 
 (** {1 Hash indexes}
 
-    Equality indexes on single columns, maintained incrementally on insert
-    and dropped content-wise by {!truncate} (the index definition
-    survives; DML that rebuilds the heap re-populates it). NULL keys are
-    not indexed — SQL equality never matches them. *)
+    Equality indexes on single columns, maintained incrementally by
+    {!insert} and {!apply_delta} and dropped content-wise by {!truncate}
+    (the index definition survives). NULL keys are not indexed — SQL
+    equality never matches them. *)
 
 val create_index : t -> int -> unit
 (** Indexes column [col]; idempotent. Builds from existing rows. *)

@@ -24,6 +24,30 @@ let clear t =
   t.data <- [||];
   t.len <- 0
 
+(* Compact in place past each removed slot; vacated tail slots are
+   refilled with a surviving element so they hold no stale reference. *)
+let remove_sorted t positions =
+  let k = Array.length positions in
+  Array.iteri
+    (fun i p ->
+      if p < 0 || p >= t.len || (i > 0 && p <= positions.(i - 1)) then
+        invalid_arg "Vec.remove_sorted: positions must ascend within bounds")
+    positions;
+  if k = 0 then ()
+  else if k = t.len then clear t
+  else begin
+    let dst = ref positions.(0) and next = ref 1 in
+    for src = positions.(0) + 1 to t.len - 1 do
+      if !next < k && positions.(!next) = src then incr next
+      else begin
+        t.data.(!dst) <- t.data.(src);
+        incr dst
+      end
+    done;
+    Array.fill t.data !dst (t.len - !dst) t.data.(0);
+    t.len <- !dst
+  end
+
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)

@@ -12,6 +12,13 @@ val length : 'a t -> int
 val get : 'a t -> int -> 'a
 val push : 'a t -> 'a -> unit
 val clear : 'a t -> unit
+
+(** [remove_sorted t positions] drops the elements at [positions]
+    (strictly ascending) in place; the survivors keep their order.
+    @raise Invalid_argument, before any change, when a position is out
+    of bounds or the positions do not strictly ascend. *)
+val remove_sorted : 'a t -> int array -> unit
+
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

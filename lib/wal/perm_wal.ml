@@ -86,7 +86,12 @@ type frame =
   | Drop of string  (** canonical DDL: DROP TABLE/VIEW *)
   | Insert of string * Tuple.t list  (** rows appended to a heap *)
   | Delete of string  (** heap truncated *)
-  | Replace of string * Tuple.t list  (** heap contents replaced *)
+  | Replace of string * Tuple.t list
+      (** heap contents replaced; no longer written, replayed for older
+          logs *)
+  | Delta of string * int array * Tuple.t list
+      (** DELETE/UPDATE: rows removed at ascending positions, then rows
+          appended *)
   | Prov of string * string list  (** provenance-column names of a table *)
   | Checkpoint of int
       (** epoch marker: every record before this one is captured by the
@@ -146,6 +151,7 @@ let frame_label = function
   | Insert _ -> "insert"
   | Delete _ -> "delete"
   | Replace _ -> "replace"
+  | Delta _ -> "delta"
   | Prov _ -> "prov"
   | Checkpoint _ -> "checkpoint"
 
@@ -179,7 +185,13 @@ let encode_frame frame =
     List.iter (add_lstring buf) cols
   | Checkpoint epoch ->
     Buffer.add_char buf '\009';
-    add_i64 buf (Int64.of_int epoch));
+    add_i64 buf (Int64.of_int epoch)
+  | Delta (tbl, deleted, rows) ->
+    Buffer.add_char buf '\010';
+    add_lstring buf tbl;
+    add_u32 buf (Array.length deleted);
+    Array.iter (add_u32 buf) deleted;
+    add_rows buf rows);
   Buffer.contents buf
 
 (* Decoding: a cursor over the payload string; any out-of-bounds read or
@@ -256,6 +268,12 @@ let decode_frame payload =
         let epoch = Int64.to_int (i64 payload pos) in
         if epoch < 0 then raise Corrupt;
         Checkpoint epoch
+      | 10 ->
+        let tbl = lstring payload pos in
+        let n = u32 payload pos in
+        if n > String.length payload then raise Corrupt;
+        let deleted = Array.init n (fun _ -> u32 payload pos) in
+        Delta (tbl, deleted, rows payload pos)
       | _ -> raise Corrupt
     in
     if !pos <> String.length payload then raise Corrupt;
@@ -271,7 +289,7 @@ type apply = {
       (** run canonical DDL (or a whole snapshot script) *)
   ap_insert : string -> Tuple.t list -> (unit, string) result;
   ap_truncate : string -> (unit, string) result;
-  ap_replace : string -> Tuple.t list -> (unit, string) result;
+  ap_delta : string -> int array -> Tuple.t list -> (unit, string) result;
   ap_prov : string -> string list -> (unit, string) result;
 }
 
@@ -328,7 +346,10 @@ let apply_one apply = function
   | Create sql | Drop sql -> ap (apply.ap_sql sql)
   | Insert (tbl, rows) -> ap (apply.ap_insert tbl rows)
   | Delete tbl -> ap (apply.ap_truncate tbl)
-  | Replace (tbl, rows) -> ap (apply.ap_replace tbl rows)
+  | Replace (tbl, rows) ->
+    ap (apply.ap_truncate tbl);
+    ap (apply.ap_insert tbl rows)
+  | Delta (tbl, deleted, rows) -> ap (apply.ap_delta tbl deleted rows)
   | Prov (tbl, cols) -> ap (apply.ap_prov tbl cols)
 
 let rec write_all fd b off len =

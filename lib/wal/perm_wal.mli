@@ -45,7 +45,12 @@ type frame =
   | Drop of string  (** canonical DDL: DROP TABLE/VIEW *)
   | Insert of string * Perm_storage.Tuple.t list  (** rows appended *)
   | Delete of string  (** heap truncated *)
-  | Replace of string * Perm_storage.Tuple.t list  (** heap replaced *)
+  | Replace of string * Perm_storage.Tuple.t list
+      (** heap replaced: written by older versions only; replay still
+          applies it, as a truncate followed by an insert *)
+  | Delta of string * int array * Perm_storage.Tuple.t list
+      (** DELETE/UPDATE: remove the rows at the ascending positions, then
+          append the rows ({!Perm_storage.Heap.apply_delta}) *)
   | Prov of string * string list  (** provenance-column names of a table *)
   | Checkpoint of int
       (** epoch marker: every record before this one is captured by the
@@ -69,7 +74,8 @@ type apply = {
       (** run canonical DDL, or the whole snapshot script *)
   ap_insert : string -> Perm_storage.Tuple.t list -> (unit, string) result;
   ap_truncate : string -> (unit, string) result;
-  ap_replace : string -> Perm_storage.Tuple.t list -> (unit, string) result;
+  ap_delta :
+    string -> int array -> Perm_storage.Tuple.t list -> (unit, string) result;
   ap_prov : string -> string list -> (unit, string) result;
 }
 

@@ -259,6 +259,19 @@ let pipeline_tests =
         let e = forum_engine () in
         let msg = query_err e "SELECT 1 / (uid - uid) FROM users" in
         Alcotest.(check string) "" "division by zero" msg);
+    case "a session dropped without close is collected" (fun () ->
+        let weak = Weak.create 1 in
+        (* build and use the session in a frame that is gone before the
+           collection, so only the weak pointer still refers to it *)
+        let use () =
+          let e = forum_engine () in
+          ignore (query_ok e "SELECT mid FROM messages");
+          Weak.set weak 0 (Some e)
+        in
+        (Sys.opaque_identity use) ();
+        Gc.full_major ();
+        Gc.full_major ();
+        Alcotest.(check bool) "session collected" false (Weak.check weak 0));
   ]
 
 let () =

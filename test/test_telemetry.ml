@@ -199,6 +199,23 @@ let stat_statements_tests =
         ignore (Engine.execute e "CREATE TABLE t (a int)");
         Engine.reset_statement_stats e;
         check_count e "SELECT * FROM perm_stat_statements" 0);
+    case "fingerprints are bounded, the least-called evicted" (fun () ->
+        let st = Stats.create () in
+        let record fp =
+          Stats.record_statement st ~fingerprint:fp ~sql:fp ~ms:1. ~phases:[]
+            ~rules:[] ~provenance:false ~rows:0 ~error:false
+        in
+        for _ = 1 to 5 do
+          record "hot"
+        done;
+        for k = 1 to Stats.max_statements + 40 do
+          record (Printf.sprintf "cold %04d" k)
+        done;
+        let kept = List.map (fun s -> s.Stats.st_fingerprint) (Stats.statements st) in
+        Alcotest.(check int) "bounded" Stats.max_statements (List.length kept);
+        Alcotest.(check bool) "the often-called entry survives" true (List.mem "hot" kept);
+        Alcotest.(check bool) "the newest entry is kept" true
+          (List.mem (Printf.sprintf "cold %04d" (Stats.max_statements + 40)) kept));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -61,6 +61,10 @@ let sample_frames =
         ] );
     Wal.Delete "t";
     Wal.Replace ("t", [ [| Value.Float nan |]; [| Value.Float infinity |] ]);
+    Wal.Delta ("t", [||], []);
+    Wal.Delta ("t", [| 0; 3; 0x7fffffff |], []);
+    Wal.Delta
+      ("t", [| 2 |], [ [| Value.Int 4; Value.Null |]; [| Value.Text "x"; Value.Float (-0.0) |] ]);
     Wal.Prov ("t", [ "p_t_k"; "p_t_v" ]);
     Wal.Prov ("t", []);
   ]
@@ -78,12 +82,18 @@ let test_codec_roundtrip () =
   Alcotest.(check bool) "bad tag rejected" true (Wal.decode_frame "\xee" = None);
   Alcotest.(check bool) "trailing byte rejected" true
     (Wal.decode_frame (Wal.encode_frame Wal.Begin ^ "x") = None);
-  (* a truncated Insert payload must decode to None, not raise *)
-  let enc = Wal.encode_frame (Wal.Insert ("t", [ [| Value.Int 7 |] ])) in
-  for len = 0 to String.length enc - 1 do
-    Alcotest.(check bool) "truncated payload rejected" true
-      (Wal.decode_frame (String.sub enc 0 len) = None)
-  done
+  (* a truncated Insert or Delta payload must decode to None, not raise *)
+  List.iter
+    (fun frame ->
+      let enc = Wal.encode_frame frame in
+      for len = 0 to String.length enc - 1 do
+        Alcotest.(check bool) "truncated payload rejected" true
+          (Wal.decode_frame (String.sub enc 0 len) = None)
+      done)
+    [
+      Wal.Insert ("t", [ [| Value.Int 7 |] ]);
+      Wal.Delta ("t", [| 1; 5 |], [ [| Value.Int 7; Value.Text "u" |] ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -154,6 +164,8 @@ let test_torn_tail_every_offset () =
            "CREATE TABLE t (k INTEGER, v TEXT);";
            "INSERT INTO t VALUES (1, 'a'), (2, 'b');";
            "INSERT INTO t VALUES (3, 'c');";
+           "UPDATE t SET v = 'B' WHERE k = 2;";
+           "DELETE FROM t WHERE k = 1;";
          ]
   in
   let log = In_channel.with_open_bin (Filename.concat dir "wal.log")
@@ -189,7 +201,7 @@ let noop_apply =
     Wal.ap_sql = (fun _ -> Ok ());
     ap_insert = (fun _ _ -> Ok ());
     ap_truncate = (fun _ -> Ok ());
-    ap_replace = (fun _ _ -> Ok ());
+    ap_delta = (fun _ _ _ -> Ok ());
     ap_prov = (fun _ _ -> Ok ());
   }
 
@@ -218,6 +230,48 @@ let test_duplicate_commit () =
     Alcotest.(check int) "rows applied once" 1 !inserted;
     Alcotest.(check int) "all four records scanned" 4 rp.Wal.rp_records;
     Wal.close w);
+  rm_rf dir
+
+(* Logs written before DELETE/UPDATE became row deltas hold [Replace]
+   frames (a full table image). They must still replay: a log with a
+   hand-appended [Replace] reopens to the state the image describes,
+   indexes included. *)
+let test_replace_frame_compat () =
+  let dir = temp_dir "perm_wal_replace" in
+  let e = engine () in
+  ignore (enable_ok e dir);
+  exec_all e
+    [
+      "CREATE TABLE t (k INTEGER, v TEXT);";
+      "CREATE INDEX t_k ON t (k);";
+      "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c');";
+    ];
+  Engine.close e;
+  (match Wal.open_ ~dir ~apply:noop_apply with
+  | Error msg -> Alcotest.failf "open: %s" msg
+  | Ok (w, _) ->
+    Wal.append w Wal.Begin;
+    Wal.append w
+      (Wal.Replace
+         ("t", [ [| Value.Int 3; Value.Text "c" |]; [| Value.Int 2; Value.Text "B" |] ]));
+    Wal.append w Wal.Commit;
+    Wal.close w);
+  let oracle = engine () in
+  exec_all oracle
+    [
+      "CREATE TABLE t (k INTEGER, v TEXT);";
+      "CREATE INDEX t_k ON t (k);";
+      "INSERT INTO t VALUES (3, 'c'), (2, 'B');";
+    ];
+  let recovered, rp = recovered_dump dir in
+  Alcotest.(check string) "Replace replays to the image" (Engine.dump_sql oracle) recovered;
+  Alcotest.(check int) "four transactions" 4 rp.Wal.rp_committed;
+  let e2 = engine () in
+  ignore (enable_ok e2 dir);
+  check_rows e2 "SELECT v FROM t WHERE k = 2;" [ [ "B" ] ];
+  check_rows e2 "SELECT v FROM t WHERE k = 1;" [];
+  Engine.close e2;
+  Engine.close oracle;
   rm_rf dir
 
 let test_replay_fault () =
@@ -529,6 +583,8 @@ let () =
           Alcotest.test_case "duplicate commit is idempotent" `Quick
             test_duplicate_commit;
           Alcotest.test_case "fault during replay" `Quick test_replay_fault;
+          Alcotest.test_case "Replace frames from older logs replay" `Quick
+            test_replace_frame_compat;
         ] );
       ( "checkpoint",
         [
