@@ -365,75 +365,6 @@ let b7 ~scale =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* B7-par: morsel-driven parallel executor speedup sweep.               *)
-(* Serial baseline vs. the domain pool at 1, 2 and 4 workers on the     *)
-(* scale-sweep join/aggregation queries. A 1-domain pool isolates the   *)
-(* framework overhead (morsel slicing + batch machinery, no extra       *)
-(* hardware); speedups > 1 need actual cores.                           *)
-(* ------------------------------------------------------------------ *)
-
-let b7_par_queries =
-  [
-    ("scan+filter", "SELECT mid, text FROM messages WHERE mid % 3 = 0");
-    ( "join probe",
-      "SELECT m.text, u.name FROM messages m, users u WHERE m.uid = u.uid" );
-    ( "aggregate",
-      "SELECT uid, count(*), max(mid) FROM messages GROUP BY uid" );
-    ( "join+prov",
-      "SELECT PROVENANCE m.text, a.uid FROM messages m JOIN approved a ON \
-       m.mid = a.mid" );
-  ]
-
-let b7_par_domains = [ 1; 2; 4 ]
-
-(* [(query, serial_ns, [(domains, ns)])] — shared by the table printer and
-   the BENCH_phases.json section. *)
-let b7_par_measure ~size =
-  let e = Engine.create () in
-  Forum.load_scaled e ~messages:size ~users:(max 10 (size / 20)) ();
-  Gc.compact ();
-  Engine.set_parallel_threshold e 1;
-  let rows =
-    List.map
-      (fun (name, sql) ->
-        Engine.set_parallel e Engine.Par_off;
-        let t_serial = time_query e sql in
-        let par =
-          List.map
-            (fun n ->
-              Engine.set_parallel e (Engine.Par_domains n);
-              (n, time_query e sql))
-            b7_par_domains
-        in
-        Engine.set_parallel e Engine.Par_off;
-        (name, t_serial, par))
-      b7_par_queries
-  in
-  Engine.close e;
-  rows
-
-let b7_par ~size =
-  let measured = b7_par_measure ~size in
-  let rows =
-    List.map
-      (fun (name, t_serial, par) ->
-        name :: fms t_serial
-        :: List.concat_map (fun (_, t) -> [ fms t; ffac (t_serial /. t) ]) par)
-      measured
-  in
-  print_table
-    (Printf.sprintf
-       "B7-par: morsel-driven parallel speedup (forum %d messages, %d \
-        hardware cores)"
-       size
-       (Domain.recommended_domain_count ()))
-    ([ "query"; "serial ms" ]
-    @ List.concat_map
-        (fun n -> [ Printf.sprintf "%dd ms" n; Printf.sprintf "%dd speedup" n ])
-        b7_par_domains)
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* B8: hash-index ablation — provenance queries benefit from standard   *)
 (* relational access paths (paper 1: "storage techniques developed for  *)
 (* relational databases")                                               *)
@@ -485,8 +416,7 @@ let guard_queries =
   ]
 
 let b8_guard_measure ~size =
-  (* a private serial engine: the shared forum_cache engine may have been
-     left in parallel mode by B7-par, which would swamp the guard delta *)
+  (* a private engine, so the armed and unarmed arms see the same heap *)
   let e = Engine.create () in
   Forum.load_scaled e ~messages:size ~users:(max 10 (size / 20)) ();
   (* spill off: the armed arm must exercise the kill-switch guard, not
@@ -729,9 +659,7 @@ let b11_http ~size =
 
 (* ------------------------------------------------------------------ *)
 (* B12-vec: vectorized batch-at-a-time executor vs the row-at-a-time    *)
-(* closures, per query class, plus a batch_rows sweep. Serial on both   *)
-(* arms: this isolates the kernel/dispatch win from parallelism (B7-par *)
-(* covers the combination).                                             *)
+(* closures, per query class, plus a batch_rows sweep.                  *)
 (* ------------------------------------------------------------------ *)
 
 let b12_vec_queries =
@@ -749,7 +677,7 @@ let b12_vec_queries =
 let b12_vec_sweep = [ 256; 1_024; 4_096 ]
 
 (* ------------------------------------------------------------------ *)
-(* Plan pins: the "join probe" (B7-par, B12-vec) and "join +prov"       *)
+(* Plan pins: the "join probe" (B12-vec) and "join +prov"               *)
 (* (B8-guard, B9-prof, B10-hist) rows must time a hash join. A planner  *)
 (* change that plans one as a filtered cross product again fails the    *)
 (* run instead of silently changing what is measured.                   *)
@@ -758,7 +686,7 @@ let b12_vec_sweep = [ 256; 1_024; 4_096 ]
 let pinned_join_queries =
   List.filter
     (fun (name, _) -> name = "join probe")
-    (b7_par_queries @ b12_vec_queries)
+    b12_vec_queries
   @ List.filter (fun (name, _) -> name = "join +prov") guard_queries
 
 let pin_join_plans () =
@@ -788,7 +716,6 @@ let b12_vec_measure ~size =
   let e = Engine.create () in
   Forum.load_scaled e ~messages:size ~users:(max 10 (size / 20)) ();
   Gc.compact ();
-  Engine.set_parallel e Engine.Par_off;
   let rows =
     List.map
       (fun (name, sql) ->
@@ -1065,18 +992,6 @@ type smoke_entry = {
   sm_phases : (string * float) list;
 }
 
-(* Parallel-mode smoke entries: run with instrumentation off to price the
-   bare parallel path, the threshold lowered to reach the 1000-row smoke
-   relations, and a 2-domain pool. The PAR prefix keeps them apart in the
-   regression baseline. *)
-let smoke_parallel_queries =
-  [
-    ("PAR scan", "SELECT mid, text FROM messages WHERE mid % 3 = 0");
-    ( "PAR join",
-      "SELECT m.text, u.name FROM messages m, users u WHERE m.uid = u.uid" );
-    ("PAR agg", "SELECT uid, count(*), max(mid) FROM messages GROUP BY uid");
-  ]
-
 let run_smoke () =
   let e = Engine.create () in
   Forum.load_scaled e ~messages:1_000 ~users:50 ();
@@ -1114,32 +1029,22 @@ let run_smoke () =
   in
   let entries = List.map entry queries in
   Engine.set_instrumentation e false;
-  Engine.set_parallel_threshold e 1;
-  Engine.set_parallel e (Engine.Par_domains 2);
-  (* warm-up: create the worker pool outside the measured entries *)
-  (match Engine.query e "SELECT mid FROM messages" with
-  | Ok _ -> ()
-  | Error msg -> failwith ("smoke parallel warm-up failed: " ^ msg));
-  let par_entries = List.map entry smoke_parallel_queries in
-  Engine.set_parallel e Engine.Par_off;
   flush stdout;
-  (e, entries @ par_entries)
+  (e, entries)
 
 let smoke ~json () =
   let e, entries = run_smoke () in
   if json then begin
     let m = Engine.metrics e in
     Metrics.set_gc_gauges m;
-    (* The B7-par speedup sweep rides along in the baseline document so
-       parallel-executor performance is tracked alongside the phase
-       breakdowns. A small scale + quota keeps the smoke pass quick. *)
+    (* The B-section measurements below ride along in the baseline
+       document, tracked alongside the phase breakdowns. A small scale +
+       quota keeps the smoke pass quick. *)
     let saved_quota = !quota in
     let progress what =
       Printf.eprintf "[smoke] measuring %s...\n%!" what
     in
     quota := 0.15;
-    progress "b7_par";
-    let par_measured = b7_par_measure ~size:4_000 in
     (* B12-vec rides along: the row-closure baseline vs the batch path per
        query class plus the batch_rows sweep — EXPERIMENTS.md quotes the
        serial speedups from here. *)
@@ -1285,32 +1190,6 @@ let smoke ~json () =
                  guard_measured) );
         ]
     in
-    let parallel_section =
-      Json.Obj
-        [
-          ("hardware_cores", Json.Int (Domain.recommended_domain_count ()));
-          ("forum_messages", Json.Int 4_000);
-          ( "queries",
-            Json.List
-              (List.map
-                 (fun (name, t_serial, par) ->
-                   Json.Obj
-                     ([
-                        ("name", Json.String name);
-                        ("serial_ms", Json.Float (ms t_serial));
-                      ]
-                     @ List.concat_map
-                         (fun (n, t) ->
-                           [
-                             ( Printf.sprintf "domains_%d_ms" n,
-                               Json.Float (ms t) );
-                             ( Printf.sprintf "domains_%d_speedup" n,
-                               Json.Float (t_serial /. t) );
-                           ])
-                         par))
-                 par_measured) );
-        ]
-    in
     let vectorized_section =
       Json.Obj
         [
@@ -1371,7 +1250,6 @@ let smoke ~json () =
           ("forum_messages", Json.Int 1_000);
           ("durability", durability_section);
           ("vectorized", vectorized_section);
-          ("parallel", parallel_section);
           ("guardrails", guard_section);
           ("profiler", profiler_section);
           ("history", history_section);
@@ -1553,7 +1431,6 @@ let () =
   b5 sweep;
   b6 ~size:mid_size;
   b7 ~scale:(if fast then 300 else 3_000);
-  b7_par ~size:(if fast then 2_000 else 20_000);
   b12_vec ~size:(if fast then 2_000 else 20_000);
   b8 ~size:(if fast then 2_000 else 20_000);
   b8_guard ~size:(if fast then 2_000 else 20_000);

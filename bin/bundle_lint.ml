@@ -1,4 +1,4 @@
-(* Validate forensics bundle documents against the perm.forensics/1
+(* Validate forensics bundle documents against the perm.forensics/2
    schema with the same checker the test suite uses: required sections
    (plan, metrics delta, event tail, WAL, spill, settings), field types
    and the anomaly-class enum. CI runs every bundle a forensics scenario

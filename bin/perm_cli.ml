@@ -69,14 +69,8 @@ let start_progress_sampler session =
             if not (Atomic.get stop) then begin
               (match Engine.progress session.engine with
               | Some p when p.Engine.pr_running ->
-                if p.Engine.pr_morsels_total > 0 then
-                  Printf.eprintf
-                    "progress: %d rows, morsel %d/%d, %.0f ms elapsed\n%!"
-                    p.Engine.pr_rows p.Engine.pr_morsels_done
-                    p.Engine.pr_morsels_total p.Engine.pr_elapsed_ms
-                else
-                  Printf.eprintf "progress: %d rows, %.0f ms elapsed\n%!"
-                    p.Engine.pr_rows p.Engine.pr_elapsed_ms
+                Printf.eprintf "progress: %d rows, %.0f ms elapsed\n%!"
+                  p.Engine.pr_rows p.Engine.pr_elapsed_ms
               | _ -> ());
               loop ()
             end
@@ -204,15 +198,9 @@ let start_watch session =
                 if n > watch_window then
                   samples :=
                     List.filteri (fun i _ -> i >= n - watch_window) !samples;
-                let morsels =
-                  if p.Engine.pr_morsels_total > 0 then
-                    Printf.sprintf " morsel %d/%d" p.Engine.pr_morsels_done
-                      p.Engine.pr_morsels_total
-                  else ""
-                in
-                Printf.eprintf "watch: %-32s %s %d rows (%.0f/s)%s %.0f ms\n%!"
+                Printf.eprintf "watch: %-32s %s %d rows (%.0f/s) %.0f ms\n%!"
                   (clip 32 (String.trim p.Engine.pr_sql))
-                  (sparkline !samples) p.Engine.pr_rows rate morsels
+                  (sparkline !samples) p.Engine.pr_rows rate
                   p.Engine.pr_elapsed_ms
               | _ ->
                 last := None;
@@ -324,10 +312,10 @@ let help_text =
   \log off                 close the statement log
   \metrics                 session metrics (counters, gauges, latency histograms)
   \metrics PREFIX          only metrics whose name starts with PREFIX
-                           (e.g. \metrics executor.par)
-  \progress on|off         sample live query progress (rows, morsels, elapsed)
+                           (e.g. \metrics executor.spill)
+  \progress on|off         sample live query progress (rows, elapsed)
                            on an interval while each statement runs
-  \watch [on|off]          live sparkline dashboard (row throughput, morsels,
+  \watch [on|off]          live sparkline dashboard (row throughput,
                            WAL epoch/bytes/fsyncs, spill runs/bytes) on stderr
                            while statements run
   \debug [last]            pretty-print the most recent forensics bundle
@@ -348,13 +336,6 @@ let help_text =
   \strategy join|lateral|heuristic|cost
                            aggregation rewrite strategy (paper 2.2)
   \optimizer on|off        toggle the planner rewrites
-  \set parallel on|off|N   morsel-driven parallel execution on worker domains
-                           (on = recommended domain count; N = exact count;
-                           results are bit-identical to serial execution)
-  \set parallel_threshold N
-                           min driving-table rows before a query fans out
-  \set morsel_rows N       rows per morsel (0 = planner-sized from the
-                           driving table, batch size, and domain count)
   \set batch_rows N        rows per executor batch on the vectorized path
                            (default 1024; PERM_BATCH_ROWS overrides at start)
   \set vectorized on|off   batch-at-a-time executor (default on; off runs
@@ -382,7 +363,7 @@ let help_text =
   \set history_cadence S   seconds between metric-history samples (default 1)
   \set eventlog N          in-memory event-log ring capacity (default 256)
   \fault POINT PROB        deterministic fault injection: make the named point
-                           (e.g. heap.scan, join.build, pool.dispatch,
+                           (e.g. heap.scan, join.build, agg.merge,
                            engine.commit) fail with probability PROB
   \fault seed N            reseed the injection PRNG (also via PERM_FAULT=N)
   \fault list              registered fault points, hit and injection counts
@@ -393,7 +374,7 @@ let help_text =
   \help                    this text
 Anything else is executed as an SQL-PLE statement (end with ;).
 Telemetry is also queryable as relations: perm_stat_statements,
-perm_stat_relations, perm_stat_plans, perm_stat_workers, perm_metrics,
+perm_stat_relations, perm_stat_plans, perm_metrics,
 perm_stat_history, perm_stat_regressions, perm_metrics_history,
 perm_stat_anomalies
 (try SELECT * FROM perm_stat_regressions ORDER BY seq DESC;).|}
@@ -507,41 +488,6 @@ let handle_meta session line =
     Engine.set_optimizer_config session.engine
       (if v = "on" then Perm_planner.Planner.default_config
        else Perm_planner.Planner.disabled_config);
-    `Continue
-  | [ "\\set"; "parallel"; v ] ->
-    (match v with
-    | "off" ->
-      Engine.set_parallel session.engine Engine.Par_off;
-      print_endline "parallel execution off"
-    | "on" ->
-      Engine.set_parallel session.engine Engine.Par_on;
-      Printf.printf "parallel execution on (%d worker domains)\n"
-        (Engine.parallel_domains session.engine)
-    | n -> (
-      match int_of_string_opt n with
-      | Some n when n >= 0 ->
-        Engine.set_parallel session.engine (Engine.Par_domains n);
-        if Engine.parallel_domains session.engine = 0 then
-          print_endline "parallel execution off"
-        else
-          Printf.printf "parallel execution on (%d worker domains)\n"
-            (Engine.parallel_domains session.engine)
-      | _ -> print_endline "usage: \\set parallel on|off|N"));
-    `Continue
-  | [ "\\set"; "parallel_threshold"; n ] ->
-    (match int_of_string_opt n with
-    | Some n when n >= 0 ->
-      Engine.set_parallel_threshold session.engine n;
-      Printf.printf "parallel threshold: %d rows\n" n
-    | _ -> print_endline "usage: \\set parallel_threshold N");
-    `Continue
-  | [ "\\set"; "morsel_rows"; n ] ->
-    (match int_of_string_opt n with
-    | Some n when n >= 0 ->
-      Engine.set_morsel_rows session.engine n;
-      if n = 0 then print_endline "morsel size: planner-chosen"
-      else Printf.printf "morsel size: %d rows\n" n
-    | _ -> print_endline "usage: \\set morsel_rows N (0 = planner-chosen)");
     `Continue
   | [ "\\set"; "batch_rows"; n ] ->
     (match int_of_string_opt n with
@@ -937,9 +883,8 @@ let main demo script command =
   | None, Some sql -> run_sql session sql
   | None, None -> repl session);
   (* stop the \watch dashboard domain and drain the observability server,
-     then release the worker-domain pool, if a parallel query created one
-     (Engine.close would also drain the server via its at_close hook;
-     stopping here first is just the explicit order) *)
+     then close the engine (Engine.close would also drain the server via
+     its at_close hook; stopping here first is just the explicit order) *)
   stop_watch session;
   stop_serve session;
   Engine.close session.engine

@@ -8,7 +8,6 @@ module Analyzer = Perm_analyzer.Analyzer
 module Rewriter = Perm_provenance.Rewriter
 module Planner = Perm_planner.Planner
 module Executor = Perm_executor.Executor
-module Pool = Perm_executor.Pool
 module Catalog = Perm_catalog.Catalog
 module Schema = Perm_catalog.Schema
 module Column = Perm_catalog.Column
@@ -115,23 +114,18 @@ type t = {
   mutable stmt_rules : (string * int) list;
       (* rewrite-rule firings of the statement currently running, so the
          stats accumulator attributes rules to the right fingerprint *)
-  mutable parallel_domains : int;  (* 0 = parallel execution off *)
-  mutable parallel_threshold : int;  (* min driving-table rows to fan out *)
-  mutable morsel_rows : int;  (* rows per morsel; 0 = planner-chosen *)
   mutable batch_rows : int;  (* rows per executor batch (vectorized path) *)
   mutable vectorized : bool;  (* batch-at-a-time executor on/off *)
-  mutable pool : Pool.t option;  (* lazily created, reused *)
   mutable statement_timeout_ms : float;  (* governor: 0 = off *)
   mutable row_limit : int;  (* governor: 0 = off *)
   mutable tuple_budget : int;  (* governor: 0 = off *)
   mutable token : Token.t;  (* cancellation token of the running statement *)
-  profile : Profile.t;  (* perm_stat_plans / perm_stat_workers accumulator *)
+  profile : Profile.t;  (* perm_stat_plans accumulator *)
   mutable stmt_fp : string;  (* fingerprint of the running top-level stmt *)
   mutable stmt_plan_hash : string;
       (* structural hash of the top-level statement's first executed plan;
          "" until a plan runs (DDL, utility statements) *)
   mutable stmt_est_rows : float;  (* planner total estimate of that plan *)
-  mutable stmt_skew : float;  (* max worker skew seen by the statement *)
   mutable live : live option;  (* progress of the last top-level statement *)
   mutable wal : Wal.t option;  (* durability log; None = in-memory only *)
   mutable wal_fsync : bool;  (* fsync on commit (default); off for benches *)
@@ -155,10 +149,6 @@ type t = {
   mutable bundle_cap : int;  (* retained bundle bound *)
   mutable bundle_seq : int;  (* next bundle id (session-monotone) *)
   mutable bundle_dir : string option;  (* optional on-disk mirror *)
-  mutable stmt_degraded : string option;
-      (* the running top-level statement fell from the parallel to the
-         serial path on a worker error — an anomaly even when the serial
-         retry then succeeds *)
   mutable stmt_metrics0 : (string * float) list;
       (* forensics-tracked metric values at top-level statement start, so
          a bundle can report the delta the statement caused *)
@@ -225,16 +215,6 @@ let plan_row (pn : Profile.plan_node) =
     Value.Int pn.Profile.pn_peak_bytes;
   |]
 
-let worker_row (wk : Profile.worker) =
-  [|
-    Value.Int wk.Profile.wk_domain;
-    Value.Int wk.Profile.wk_morsels;
-    fnum wk.Profile.wk_busy_ms;
-    fnum wk.Profile.wk_idle_ms;
-    Value.Int wk.Profile.wk_rows;
-    fnum wk.Profile.wk_max_skew;
-  |]
-
 let metric_rows metrics =
   Metrics.fold metrics
     (fun acc name m ->
@@ -287,7 +267,6 @@ let history_row (r : History.exec_record) =
     fnum r.History.ex_ms;
     Value.Int r.History.ex_rows;
     fnum r.History.ex_est_rows;
-    fnum r.History.ex_skew;
     Value.Bool r.History.ex_error;
     ph "analyze";
     ph "rewrite";
@@ -355,19 +334,13 @@ let virtual_schemas =
         col "act_rows" Dtype.Int; col "self_ms" Dtype.Float;
         col "loops" Dtype.Int; col "peak_bytes" Dtype.Int;
       ] );
-    ( "perm_stat_workers",
-      [
-        col "domain" Dtype.Int; col "morsels" Dtype.Int;
-        col "busy_ms" Dtype.Float; col "idle_ms" Dtype.Float;
-        col "rows" Dtype.Int; col "max_skew" Dtype.Float;
-      ] );
     ( "perm_stat_history",
       [
         col "fingerprint" Dtype.Text; col "seq" Dtype.Int;
         col "ts" Dtype.Float; col "plan_hash" Dtype.Text;
         col "total_ms" Dtype.Float; col "rows" Dtype.Int;
-        col "est_rows" Dtype.Float; col "skew" Dtype.Float;
-        col "error" Dtype.Bool; col "analyze_ms" Dtype.Float;
+        col "est_rows" Dtype.Float; col "error" Dtype.Bool;
+        col "analyze_ms" Dtype.Float;
         col "rewrite_ms" Dtype.Float; col "optimize_ms" Dtype.Float;
         col "execute_ms" Dtype.Float;
       ] );
@@ -445,11 +418,6 @@ let register_virtuals t =
       vp_rows = (fun () -> List.map plan_row (Profile.plan_nodes t.profile));
       vp_estimate = (fun () -> List.length (Profile.plan_nodes t.profile));
     };
-  add "perm_stat_workers"
-    {
-      vp_rows = (fun () -> List.map worker_row (Profile.workers t.profile));
-      vp_estimate = (fun () -> List.length (Profile.workers t.profile));
-    };
   add "perm_stat_history"
     {
       vp_rows = (fun () -> List.map history_row (History.executions t.history));
@@ -498,9 +466,6 @@ let create () =
       event_log = Eventlog.create ();
       history = History.create ();
       stmt_rules = [];
-      parallel_domains = 0;
-      parallel_threshold = Planner.default_parallel_threshold;
-      morsel_rows = 0;
       batch_rows =
         (match Sys.getenv_opt "PERM_BATCH_ROWS" with
         | Some s -> (
@@ -512,7 +477,6 @@ let create () =
         (match Sys.getenv_opt "PERM_VECTORIZED" with
         | Some ("0" | "off" | "false") -> false
         | _ -> true);
-      pool = None;
       statement_timeout_ms = 0.;
       row_limit = 0;
       tuple_budget = 0;
@@ -521,7 +485,6 @@ let create () =
       stmt_fp = "";
       stmt_plan_hash = "";
       stmt_est_rows = 0.;
-      stmt_skew = 1.;
       live = None;
       wal = None;
       wal_fsync = true;
@@ -535,7 +498,6 @@ let create () =
       bundle_cap = 32;
       bundle_seq = 1;
       bundle_dir = None;
-      stmt_degraded = None;
       stmt_metrics0 = [];
       gc_note = { pending = false; heap_words = 0; major_collections = 0 };
       on_close = [];
@@ -642,42 +604,18 @@ let set_agg_strategy t s = t.agg_strategy <- s
 let set_optimizer_config t c = t.planner_config <- c
 
 (* ------------------------------------------------------------------ *)
-(* Parallel execution settings                                          *)
+(* Executor settings                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type parallel_setting = Par_off | Par_on | Par_domains of int
+(* Left over from the deleted parallel executor, for callers written
+   against it; execution is always serial. *)
+type parallel_setting = Par_off
 
-let shutdown_pool t =
-  match t.pool with
-  | Some pool ->
-    Pool.shutdown pool;
-    t.pool <- None
-  | None -> ()
-
-(* Changing the domain count tears down the pool; the next parallel query
-   recreates it at the new size. *)
-let set_parallel t setting =
-  let domains =
-    match setting with
-    | Par_off -> 0
-    | Par_on -> max 1 (min 8 (Domain.recommended_domain_count ()))
-    | Par_domains n -> max 0 (min 64 n)
-  in
-  if domains <> t.parallel_domains then begin
-    shutdown_pool t;
-    t.parallel_domains <- domains
-  end
-
-let parallel_domains t = t.parallel_domains
-let set_parallel_threshold t n = t.parallel_threshold <- max 0 n
-let parallel_threshold t = t.parallel_threshold
-let set_morsel_rows t n = t.morsel_rows <- max 0 n
-let morsel_rows t = t.morsel_rows
+let set_parallel (_ : t) Par_off = ()
 let set_batch_rows t n = t.batch_rows <- max 1 n
 let batch_rows t = t.batch_rows
 let set_vectorized t b = t.vectorized <- b
 let vectorized t = t.vectorized
-let pool_size t = match t.pool with Some p -> Pool.size p | None -> 0
 
 (* The executor's batch compiler declines Apply/Prov shapes; when it does
    (or the session switched vectorization off) every call site falls back
@@ -731,31 +669,22 @@ let fresh_token t =
        else None)
     ()
 
-(* Lazily create the reusable worker pool on the first parallel query. *)
-let pool t =
-  match t.pool with
-  | Some pool -> pool
-  | None ->
-    let pool = Pool.create t.parallel_domains in
-    t.pool <- Some pool;
-    pool
-
 (* Run registered shutdown hooks (LIFO — the HTTP server drains before
-   anything it depends on goes away), then release the worker domains. The
-   engine remains usable afterwards: the next parallel query recreates the
-   pool. Hooks run once; a hook that raises does not stop the others. *)
+   anything it depends on goes away), then close the WAL. The engine
+   remains usable afterwards, in memory. Hooks run once; a hook that
+   raises does not stop the others. *)
 let at_close t f = t.on_close <- f :: t.on_close
 
 let close t =
   let hooks = t.on_close in
   t.on_close <- [];
   List.iter (fun f -> try f () with _ -> ()) hooks;
-  (match t.wal with
+  match t.wal with
   | Some w ->
     Wal.close w;
     t.wal <- None
-  | None -> ());
-  shutdown_pool t
+  | None -> ()
+
 let last_report t = t.report
 let provenance_columns t name =
   Hashtbl.find_opt t.prov_tables (String.lowercase_ascii name)
@@ -790,17 +719,6 @@ let provider t : Executor.provider =
            build it on demand *)
         if not (Heap.has_index heap col) then Heap.create_index heap col;
         Heap.index_probe heap col key);
-    Executor.scan_morsels =
-      (fun table rows ->
-        match Store.find t.store table with
-        | Some heap -> Heap.scan_morsels heap ~rows
-        | None -> (
-          match Hashtbl.find_opt t.virtuals (String.lowercase_ascii table) with
-          | Some vp -> Executor.morsels_of_list ~morsel_rows:rows (vp.vp_rows ())
-          | None ->
-            raise
-              (Executor.Runtime_error
-                 (Printf.sprintf "table %S vanished" table))));
     Executor.scan_batches =
       (fun table rows ->
         match Store.find t.store table with
@@ -861,7 +779,6 @@ let reset_statement_stats t =
       History.reset t.history)
 
 let plan_profile t = Profile.plan_nodes t.profile
-let worker_profile t = Profile.workers t.profile
 
 (* Live progress of the current (or, once finished, most recent) top-level
    statement. Readable from any domain: the counters are atomics and the
@@ -871,15 +788,12 @@ type progress = {
   pr_running : bool;
   pr_elapsed_ms : float;
   pr_rows : int;
-  pr_morsels_done : int;
-  pr_morsels_total : int;  (* 0 = serial execution *)
 }
 
 let progress t =
   match t.live with
   | None -> None
   | Some lv ->
-    let sn = Progress.snapshot lv.lv_progress in
     let until =
       match lv.lv_end_s with Some e -> e | None -> Trace.now ()
     in
@@ -888,9 +802,7 @@ let progress t =
         pr_sql = lv.lv_sql;
         pr_running = lv.lv_running;
         pr_elapsed_ms = (until -. lv.lv_start_s) *. 1000.;
-        pr_rows = sn.Progress.sn_rows;
-        pr_morsels_done = sn.Progress.sn_morsels_done;
-        pr_morsels_total = sn.Progress.sn_morsels_total;
+        pr_rows = Progress.rows lv.lv_progress;
       }
 
 (* The Progress.t handed to the executor, live only while its statement
@@ -1002,8 +914,8 @@ let refresh_spill_gauges t =
 let forensics_counters =
   [
     "engine.statements"; "engine.errors"; "engine.timeout";
-    "engine.cancelled"; "engine.resource_exhausted"; "executor.par.degraded";
-    "history.regressions"; "wal.checkpoints"; "wal.repairs";
+    "engine.cancelled"; "engine.resource_exhausted"; "history.regressions";
+    "wal.checkpoints"; "wal.repairs";
   ]
 
 let forensics_gauges =
@@ -1074,9 +986,6 @@ let spill_json () =
 let settings_json t =
   Json.Obj
     [
-      ("parallel", Json.Int t.parallel_domains);
-      ("parallel_threshold", Json.Int t.parallel_threshold);
-      ("morsel_rows", Json.Int t.morsel_rows);
       ("batch_rows", Json.Int t.batch_rows);
       ("vectorized", Json.Bool t.vectorized);
       ("timeout_ms", Json.Float t.statement_timeout_ms);
@@ -1226,8 +1135,8 @@ let capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint ~plan_hash
 
 (* Map a finished top-level statement to its anomaly class, if any. Typed
    failures win over a watchdog flag (errors never fold into the baseline
-   anyway), which wins over a successful-but-degraded execution. *)
-let statement_anomaly t result rg_opt =
+   anyway). *)
+let statement_anomaly result rg_opt =
   match result with
   | Error (e : Err.t) ->
     let cls =
@@ -1239,19 +1148,15 @@ let statement_anomaly t result rg_opt =
       | Err.Parse | Err.Analyze | Err.Runtime | Err.Internal -> "error"
     in
     Some (cls, Err.to_string e)
-  | Ok _ -> (
-    match rg_opt with
-    | Some (rg : History.regression) ->
-      Some
+  | Ok _ ->
+    Option.map
+      (fun (rg : History.regression) ->
         ( "regression",
           Printf.sprintf "%.1fx over baseline %.2f ms (%s): %s"
             rg.History.rg_factor rg.History.rg_baseline_ms
             (History.cause_label rg.History.rg_cause)
-            rg.History.rg_detail )
-    | None -> (
-      match t.stmt_degraded with
-      | Some reason -> Some ("degraded", reason)
-      | None -> None))
+            rg.History.rg_detail ))
+      rg_opt
 
 (* ------------------------------------------------------------------ *)
 (* Cross-domain observability reads (the HTTP plane)                   *)
@@ -1291,15 +1196,6 @@ let phase t name f =
   match t.current_span with
   | None -> f ()
   | Some root -> Trace.timed root name f
-
-(* Like [phase], but hands the phase span (when tracing) to [f] so it can
-   attach child spans or attributes — used by the parallel execute path. *)
-let phase_sp t name f =
-  match t.current_span with
-  | None -> f None
-  | Some root ->
-    let sp = Trace.child root name in
-    Fun.protect ~finally:(fun () -> Trace.finish sp) (fun () -> f (Some sp))
 
 let strategy_names (report : Rewriter.report) =
   List.map
@@ -1400,259 +1296,43 @@ let prepare t (q : Ast.query) =
   in
   Ok (analyzed, rewritten, optimized)
 
-(* Morsel-driven parallel execution is attempted when the session has
-   parallelism on, the planner's verdict is favourable, and the executor
-   accepts the plan shape. Session instrumentation no longer forces the
-   serial path: the parallel executor carries its own plan-node profiler
-   (atomic per-stage counters), so [profile] is switched on instead.
-   Every fallback leaves a reason counter in the metrics so "why didn't
-   this parallelize?" is answerable from perm_metrics. *)
-let try_parallel t optimized =
-  if t.parallel_domains <= 0 then None
-  else
-    match
-      Planner.parallel_verdict ~threshold:t.parallel_threshold (stats t)
-        optimized
-    with
-    | Planner.Par_fallback reason ->
-      Metrics.incr t.metrics ("executor.par.fallback." ^ reason);
-      None
-    | Planner.Par_ok { par_est_rows; _ } -> (
-      let morsel_rows =
-        if t.morsel_rows > 0 then t.morsel_rows
-        else if t.vectorized then
-          Planner.choose_morsel_rows ~batch_rows:t.batch_rows
-            ~driving_rows:par_est_rows ~domains:t.parallel_domains
-        else Executor.Par.default_morsel_rows
-      in
-      match
-        Executor.Par.prepare ~provider:(provider t) ~pool:(pool t)
-          ~morsel_rows ?batch_rows:(active_batch_rows t) ~token:t.token
-          ?row_limit:(active_row_limit t) ?progress:(live_progress t)
-          ~profile:t.instrument ?spill:(active_spill t) optimized
-      with
-      | None ->
-        (* the planner mirror accepted a shape the executor declined *)
-        Metrics.incr t.metrics "executor.par.fallback.shape";
-        None
-      | Some run -> Some run)
-
 (* The top-level statement's first executed plan defines its plan hash and
    estimate total for the telemetry history; nested executions (DML
    helpers re-entering run_query) keep the enclosing statement's. The
-   execution mode is part of the hash: the parallel verdict flipping for
-   the same statement shape is a plan change the watchdog should see. *)
-let note_plan t optimized ~parallel =
+   execution mode is part of the hash: a statement moving between the row
+   and batch paths is a plan change the watchdog should see. *)
+let note_plan t optimized =
   if t.stmt_plan_hash = "" then begin
     let mode =
-      if parallel then "parallel"
-      else if t.vectorized && Executor.batch_eligible optimized then "vector"
+      if t.vectorized && Executor.batch_eligible optimized then "vector"
       else "serial"
     in
     t.stmt_plan_hash <- Executor.plan_hash ~mode optimized;
     t.stmt_est_rows <- Planner.estimate_total (stats t) optimized
   end
 
-let record_par_report t plan (r : Executor.Par.report) =
-  obs_locked t @@ fun () ->
-  Metrics.incr t.metrics "executor.par.queries";
-  Metrics.incr t.metrics ~by:r.Executor.Par.par_morsels "executor.par.morsels";
-  Metrics.set_gauge t.metrics "executor.par.domains"
-    (float_of_int r.Executor.Par.par_domains);
-  if r.Executor.Par.par_morsels > 0 then
-    Metrics.set_gauge t.metrics "executor.par.utilization"
-      (float_of_int r.Executor.Par.par_participants
-      /. float_of_int r.Executor.Par.par_domains);
-  (* per-worker accounting: busy from the pool's slice timings, idle as the
-     rest of the batch wall time, skew as busy over the batch mean *)
-  let rp = r.Executor.Par.par_pool in
-  let workers = rp.Pool.rp_workers in
-  let nw = Array.length workers in
-  if nw > 0 then begin
-    let total_busy =
-      Array.fold_left (fun acc w -> acc +. w.Pool.ws_busy_s) 0. workers
-    in
-    let mean_busy = total_busy /. float_of_int nw in
-    let max_skew = ref 1. in
-    Array.iteri
-      (fun i (w : Pool.worker_stat) ->
-        let skew =
-          if mean_busy > 0. then w.Pool.ws_busy_s /. mean_busy else 1.
-        in
-        if skew > !max_skew then max_skew := skew;
-        Profile.record_worker t.profile ~domain:i ~morsels:w.Pool.ws_morsels
-          ~busy_ms:(w.Pool.ws_busy_s *. 1000.)
-          ~idle_ms:
-            (Float.max 0. (rp.Pool.rp_wall_s -. w.Pool.ws_busy_s) *. 1000.)
-          ~rows:w.Pool.ws_rows ~skew)
-      workers;
-    Metrics.set_gauge t.metrics "executor.par.skew" !max_skew;
-    if !max_skew > t.stmt_skew then t.stmt_skew <- !max_skew;
-    (* the statement root carries skew/utilization so the trace export
-       shows imbalance without drilling into lanes *)
-    match t.current_span with
-    | None -> ()
-    | Some root ->
-      Trace.annotate root "executor.par.skew"
-        (Printf.sprintf "%.2f" !max_skew);
-      Trace.annotate root "executor.par.utilization"
-        (Printf.sprintf "%.2f"
-           (float_of_int r.Executor.Par.par_participants
-           /. float_of_int (max 1 r.Executor.Par.par_domains)))
-  end;
-  (* plan-node cardinalities from the parallel stage counters; self time is
-     not attributable per node on the push-based path, so it stays 0 *)
-  match r.Executor.Par.par_nodes with
-  | [] -> ()
-  | nodes ->
-    if t.stmt_fp <> "" then begin
-      let ids = Executor.node_ids plan in
-      let ests = plan_estimates t plan in
-      List.iter
-        (fun (np : Executor.Par.node_profile) ->
-          let kind = Plan.operator_kind np.Executor.Par.np_node in
-          Metrics.incr t.metrics ~by:np.Executor.Par.np_rows
-            ("executor.rows." ^ kind);
-          Metrics.incr t.metrics ~by:np.Executor.Par.np_loops
-            ("executor.invocations." ^ kind);
-          (match np.Executor.Par.np_node with
-          | Plan.Scan { table; _ } ->
-            Stats.record_scan t.stats_acc ~relation:table
-              ~rows:np.Executor.Par.np_rows
-          | _ -> ());
-          match
-            List.find_opt (fun (n, _) -> n == np.Executor.Par.np_node) ids
-          with
-          | None -> ()
-          | Some (node, id) ->
-            Profile.record_plan_node t.profile ~fingerprint:t.stmt_fp ~node:id
-              ~operator:(Plan.operator_name node)
-              ~est_rows:(estimate_of ests node)
-              ~act_rows:np.Executor.Par.np_rows ~self_ms:0.
-              ~loops:np.Executor.Par.np_loops ~peak_bytes:0;
-            Recorder.record t.recorder
-              (Recorder.Plan_node
-                 {
-                   fingerprint = t.stmt_fp;
-                   node = id;
-                   operator = Plan.operator_name node;
-                   est_rows = estimate_of ests node;
-                   act_rows = np.Executor.Par.np_rows;
-                 }))
-        nodes
-    end
-
 (* Execute a prepared plan, collecting per-operator stats when the session
    has instrumentation switched on. *)
-(* Per-morsel slices and per-worker summaries attach under the "parallel"
-   span on each worker's lane, so the Chrome trace export renders one
-   swimlane per domain. The summary slice spans the whole batch even for
-   idle workers, guaranteeing every domain's lane exists in the export. *)
-let attach_worker_lanes psp (r : Executor.Par.report) =
-  let rp = r.Executor.Par.par_pool in
-  Array.iteri
-    (fun i (w : Pool.worker_stat) ->
-      ignore
-        (Trace.add_slice psp
-           (Printf.sprintf "worker %d" i)
-           ~start_s:rp.Pool.rp_start_s ~dur_s:rp.Pool.rp_wall_s
-           ~lane:(Trace.worker_lane i)
-           [
-             ("morsels", string_of_int w.Pool.ws_morsels);
-             ("rows", string_of_int w.Pool.ws_rows);
-             ("busy_ms", Printf.sprintf "%.3f" (w.Pool.ws_busy_s *. 1000.));
-           ]))
-    rp.Pool.rp_workers;
-  List.iter
-    (fun (s : Pool.task_slice) ->
-      ignore
-        (Trace.add_slice psp
-           (Printf.sprintf "morsel %d" s.Pool.ts_task)
-           ~start_s:s.Pool.ts_start ~dur_s:s.Pool.ts_dur_s
-           ~lane:(Trace.worker_lane s.Pool.ts_worker)
-           [ ("rows", string_of_int s.Pool.ts_rows) ]))
-    rp.Pool.rp_slices
-
 let exec_plan t optimized =
-  let run_serial () =
-    Executor.run ~token:t.token ?row_limit:(active_row_limit t)
-      ?progress:(live_progress t) ?batch_rows:(active_batch_rows t)
-      ?spill:(active_spill t) ~provider:(provider t) optimized
-  in
-  match try_parallel t optimized with
-  | Some run ->
-    note_plan t optimized ~parallel:true;
-    phase_sp t "execute" (fun sp ->
-        let run_par () =
-          let par_sp = Option.map (fun s -> Trace.child s "parallel") sp in
-          Fun.protect
-            ~finally:(fun () -> Option.iter Trace.finish par_sp)
-            (fun () ->
-              let result = run () in
-              (match par_sp, result with
-              | Some psp, Ok (_, r) ->
-                Trace.annotate psp "domains"
-                  (string_of_int r.Executor.Par.par_domains);
-                Trace.annotate psp "morsels"
-                  (string_of_int r.Executor.Par.par_morsels);
-                Trace.annotate psp "participants"
-                  (string_of_int r.Executor.Par.par_participants);
-                attach_worker_lanes psp r
-              | _ -> ());
-              result)
-        in
-        match run_par () with
-        | Ok (rows, report) ->
-          record_par_report t optimized report;
-          Ok rows
-        | Error msg -> Error (Err.runtime msg)
-        | exception (Err.Cancel _ as e) ->
-          (* a governor kill is not a worker failure: the generation has
-             already drained, so re-raise for the boundary — no retry *)
-          raise e
-        | exception Spill.Fallback_needed _ ->
-          (* a build side or sort blew the spill threshold: the parallel
-             path never spills, the serial row path does *)
-          Spill.note_fallback ();
-          Metrics.incr t.metrics "executor.par.fallback.spill";
-          dat (run_serial ())
-        | exception e ->
-          (* a worker blew past the executor's error contract (injected
-             fault, poisoned generation): degrade to the serial path once.
-             If the failure is deterministic it will surface again there,
-             typed, through the boundary. *)
-          (match e with
-          | Perm_fault.Injected p ->
-            Metrics.incr t.metrics ("fault.injected." ^ p);
-            Recorder.record t.recorder (Recorder.Fault { point = p })
-          | _ -> ());
-          Metrics.incr t.metrics "executor.par.fallback.error";
-          Metrics.incr t.metrics "executor.par.degraded";
-          (* an anomaly even when the serial retry succeeds: the bundle
-             shows which worker failure forced the degradation *)
-          let reason =
-            Printf.sprintf "parallel execution degraded to serial: %s"
-              (Printexc.to_string e)
-          in
-          if t.stmt_degraded = None then t.stmt_degraded <- Some reason;
-          Recorder.record t.recorder (Recorder.Degraded { reason });
-          dat (run_serial ()))
-  | None ->
-    note_plan t optimized ~parallel:false;
-    if t.instrument then
-      let* rows, exec_stats =
-        dat
-          (phase t "execute" (fun () ->
-               Executor.run_instrumented ~token:t.token
-                 ?row_limit:(active_row_limit t)
-                 ?progress:(live_progress t)
-                 ?batch_rows:(active_batch_rows t) ?spill:(active_spill t)
-                 ~provider:(provider t) optimized))
-      in
-      record_exec_stats t exec_stats;
-      record_plan_profile t optimized exec_stats;
-      Ok rows
-    else dat (phase t "execute" run_serial)
+  note_plan t optimized;
+  if t.instrument then
+    let* rows, exec_stats =
+      dat
+        (phase t "execute" (fun () ->
+             Executor.run_instrumented ~token:t.token
+               ?row_limit:(active_row_limit t) ?progress:(live_progress t)
+               ?batch_rows:(active_batch_rows t) ?spill:(active_spill t)
+               ~provider:(provider t) optimized))
+    in
+    record_exec_stats t exec_stats;
+    record_plan_profile t optimized exec_stats;
+    Ok rows
+  else
+    dat
+      (phase t "execute" (fun () ->
+           Executor.run ~token:t.token ?row_limit:(active_row_limit t)
+             ?progress:(live_progress t) ?batch_rows:(active_batch_rows t)
+             ?spill:(active_spill t) ~provider:(provider t) optimized))
 
 let run_query t (q : Ast.query) =
   let* analyzed, _rewritten, optimized = prepare t q in
@@ -1701,7 +1381,7 @@ let explain_query t sql (q : Ast.query) =
 
 let explain_analyze_query t sql (q : Ast.query) =
   let* _analyzed, _rewritten, optimized = prepare t q in
-  note_plan t optimized ~parallel:false;
+  note_plan t optimized;
   let report = Option.get t.report in
   (* EXPLAIN ANALYZE always instruments, whatever the session setting; it
      stays on the serial path because per-node self times need the
@@ -1923,15 +1603,25 @@ let matching_rows t name where =
   let* rs = run_query t (Ast.select_query select) in
   Ok rs.rows
 
+(* Rows keyed under the total order's equality, under which every value
+   equals itself. [Tuple.Hash] uses SQL value equality, where NaN <> NaN,
+   so a row holding NaN would never match itself. *)
+module Row_set = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let equal a b = Tuple.compare a b = 0
+  let hash = Tuple.hash
+end)
+
 (* Ascending heap positions of every row equal to a matched row. *)
 let victim_positions heap matched =
   if matched = [] then [||]
   else begin
-    let victims = Tuple.Hash.create 64 in
-    List.iter (fun r -> Tuple.Hash.replace victims r ()) matched;
+    let victims = Row_set.create 64 in
+    List.iter (fun r -> Row_set.replace victims r ()) matched;
     let acc = ref [] in
     List.iteri
-      (fun pos r -> if Tuple.Hash.mem victims r then acc := pos :: !acc)
+      (fun pos r -> if Row_set.mem victims r then acc := pos :: !acc)
       (Heap.to_list heap);
     Array.of_list (List.rev !acc)
   end
@@ -2523,7 +2213,7 @@ let record_statement_stats t sql (st : Ast.statement) root result =
   let rg_opt =
     History.record t.history ~fingerprint ~ts:(Trace.start_s root)
       ~plan_hash:t.stmt_plan_hash ~ms ~rows:(outcome_rows result)
-      ~est_rows:t.stmt_est_rows ~skew:t.stmt_skew
+      ~est_rows:t.stmt_est_rows
       ~error:(Result.is_error result) ~phases
   in
   (match rg_opt with
@@ -2596,8 +2286,6 @@ let execute_statement t sql (st : Ast.statement) =
     t.stmt_fp <- Fingerprint.of_sql sql;
     t.stmt_plan_hash <- "";
     t.stmt_est_rows <- 0.;
-    t.stmt_skew <- 1.;
-    t.stmt_degraded <- None;
     (* the metric snapshot for the bundle's delta; skipped entirely when
        the recorder is off so the disabled path stays at its baseline *)
     if Recorder.enabled t.recorder then
@@ -2650,13 +2338,8 @@ let execute_statement t sql (st : Ast.statement) =
       match progress t with
       | Some pr ->
         let where =
-          if pr.pr_morsels_total > 0 then
-            Printf.sprintf " [died at %d rows, morsel %d/%d, %.0f ms]"
-              pr.pr_rows pr.pr_morsels_done pr.pr_morsels_total
-              (Trace.duration_ms root)
-          else
-            Printf.sprintf " [died at %d rows, %.0f ms]" pr.pr_rows
-              (Trace.duration_ms root)
+          Printf.sprintf " [died at %d rows, %.0f ms]" pr.pr_rows
+            (Trace.duration_ms root)
         in
         Error (Err.make e.Err.kind (e.Err.msg ^ where))
       | None -> result)
@@ -2746,7 +2429,7 @@ let execute_statement t sql (st : Ast.statement) =
         (* anomaly? snapshot the forensics bundle while every input is
            still at hand: the root span, the typed outcome, the watchdog
            verdict and the recorder tail all describe *this* statement *)
-        match statement_anomaly t result rg_opt with
+        match statement_anomaly result rg_opt with
         | Some (cls, detail) ->
           capture_bundle_unlocked t ~cls ~detail ~sql ~fingerprint:t.stmt_fp
             ~plan_hash:t.stmt_plan_hash ~est_rows:t.stmt_est_rows

@@ -137,22 +137,17 @@ val last_trace : t -> Perm_obs.Trace.span option
     - [perm_stat_plans] — the retained plan-node profile: per
       (fingerprint, node id) operator name, planner-estimated vs actual
       rows, self milliseconds, loop count and peak batch bytes (populated
-      when instrumentation is on or under [EXPLAIN ANALYZE]; the parallel
-      path reports per-stage rows/loops with estimates and leaves
-      self-time to the serial profiler);
-    - [perm_stat_workers] — per-domain parallel-execution totals: morsels
-      claimed, busy/idle milliseconds, rows produced and the worst
-      busy-time skew ratio observed in any one fan-out;
+      when instrumentation is on or under [EXPLAIN ANALYZE]);
     - [perm_metrics] — the live metrics registry as rows (GC gauges are
       refreshed at scan time);
     - [perm_stat_history] — the retained per-execution telemetry history:
       one row per recorded top-level statement with sequence number,
       timestamp, structural plan hash, wall/phase milliseconds, rows out,
-      the planner's total row estimate, worker skew and the error flag
+      the planner's total row estimate and the error flag
       (bounded rings, see {!history});
     - [perm_stat_regressions] — the regression watchdog's findings: flagged
       executions with their baseline, slowdown factor, attributed cause
-      ([plan-change] / [cardinality] / [skew] / [unknown]) and detail;
+      ([plan-change] / [cardinality] / [unknown]) and detail;
     - [perm_metrics_history] — cadence-sampled values of selected metrics
       series over time;
     - [perm_stat_anomalies] — the forensics bundle store: one row per
@@ -172,12 +167,8 @@ val plan_profile : t -> Perm_obs.Profile.plan_node list
 (** The retained per-fingerprint plan-node profile (the rows behind
     [perm_stat_plans]), sorted by fingerprint then node id. *)
 
-val worker_profile : t -> Perm_obs.Profile.worker list
-(** Per-domain parallel worker totals (the rows behind
-    [perm_stat_workers]), sorted by domain index. *)
-
 val reset_statement_stats : t -> unit
-(** Clears statement/relation statistics, the plan/worker profiles and the
+(** Clears statement/relation statistics, the plan profile and the
     telemetry history (retained executions, regressions and metric
     samples — history configuration is kept). *)
 
@@ -185,8 +176,7 @@ val reset_statement_stats : t -> unit
 
     While a top-level statement runs, the executor feeds a lock-free
     progress record (atomic counters only — no locks on the query path)
-    that any other domain may sample: rows produced at the plan root and,
-    on the parallel path, morsels finished out of the fan-out total. The
+    that any other domain may sample: rows produced at the plan root. The
     record survives statement completion, so the last statement's final
     progress remains readable. Governor kills ([Timeout] /
     [Resource_exhausted] / [Cancelled]) append the last sampled progress
@@ -198,8 +188,6 @@ type progress = {
   pr_elapsed_ms : float;
       (** elapsed so far, or total runtime once finished *)
   pr_rows : int;  (** rows produced at the plan root *)
-  pr_morsels_done : int;
-  pr_morsels_total : int;  (** 0 unless the statement fanned out *)
 }
 
 val progress : t -> progress option
@@ -231,8 +219,8 @@ val history : t -> Perm_obs.History.t
     [perm_metrics_history]). Every finished top-level statement is
     recorded with its structural plan hash
     ({!Perm_executor.Executor.plan_hash} of the statement's first executed
-    plan, mode-tagged serial/parallel), the planner's
-    {!Perm_planner.Planner.estimate_total} and the worst worker skew; the
+    plan, mode-tagged serial/vector) and the planner's
+    {!Perm_planner.Planner.estimate_total}; the
     watchdog's verdicts also increment [history.regressions] /
     [history.cause.*] counters, and the store's footprint is tracked by
     the [history.bytes] gauge. Configure capacities, the watchdog factor
@@ -288,49 +276,14 @@ val set_agg_strategy : t -> agg_strategy_setting -> unit
 
 val set_optimizer_config : t -> Perm_planner.Planner.config -> unit
 
-(** {1 Parallel execution}
+(** {1 Executor settings} *)
 
-    Morsel-driven parallel execution on OCaml domains
-    ({!Perm_executor.Executor.Par}). Off by default; switch on with
-    {!set_parallel}. Eligible plans (scan/filter/project spines, hash-join
-    probes, mergeable aggregates — as judged by
-    {!Perm_planner.Planner.parallel_verdict} and re-checked by the
-    executor) fan out over a session-owned worker pool, created lazily on
-    the first parallel query and reused until the size changes or
-    {!close}. Results are bit-identical to serial execution. Ineligible or
-    small plans fall back to the serial path, leaving an
-    [executor.par.fallback.<reason>] counter; parallel runs maintain
-    [executor.par.queries] / [executor.par.morsels] counters and
-    [executor.par.domains] / [executor.par.utilization] /
-    [executor.par.skew] gauges, and attach a [parallel] child span to the
-    statement's [execute] phase. Each fan-out records per-worker morsel
-    slices on dedicated trace lanes ({!Perm_obs.Trace.worker_lane}), so
-    {!Perm_obs.Trace.to_chrome_json} renders one timeline row per domain.
-    With instrumentation on, parallel plans run parallel {e with} per-stage
-    profiling (feeding [perm_stat_plans] / [perm_stat_workers]) instead of
-    being forced onto the serial instrumented path. *)
-
-type parallel_setting =
-  | Par_off
-  | Par_on  (** [Domain.recommended_domain_count], capped at 8 *)
-  | Par_domains of int  (** explicit worker count (clamped to 0..64) *)
+type parallel_setting = Par_off
+(** Left over from the deleted morsel-parallel executor: execution is
+    always serial, and {!set_parallel} does nothing. Kept only so callers
+    written against the old API still build. *)
 
 val set_parallel : t -> parallel_setting -> unit
-val parallel_domains : t -> int
-(** Configured worker count; 0 when parallel execution is off. *)
-
-val set_parallel_threshold : t -> int -> unit
-(** Minimum driving-table rows before fan-out (default
-    {!Perm_planner.Planner.default_parallel_threshold}). *)
-
-val parallel_threshold : t -> int
-val set_morsel_rows : t -> int -> unit
-(** Rows per morsel. 0 (the default) lets the planner size morsels from
-    the driving-table estimate, the session's [batch_rows], and the
-    domain count ({!Perm_planner.Planner.choose_morsel_rows}); a positive
-    value pins the size. *)
-
-val morsel_rows : t -> int
 
 val set_batch_rows : t -> int -> unit
 (** Rows per executor batch on the vectorized path (clamped to >= 1;
@@ -347,22 +300,17 @@ val set_vectorized : t -> bool -> unit
 
 val vectorized : t -> bool
 
-val pool_size : t -> int
-(** Size of the live worker pool; 0 when no pool has been created yet (no
-    parallel query ran since the last {!close} / size change). *)
-
 (** {1 Resource governor}
 
     Session guardrails enforced through a cooperative cancellation token
     ({!Perm_err.Token}): one fresh token per top-level statement, checked
-    at operator boundaries by the serial executor and at morsel boundaries
-    by every parallel worker. A governor kill surfaces as a typed error
-    ([Timeout] / [Resource_exhausted] / [Cancelled]) from {!execute_err},
-    bumps the matching [engine.timeout] / [engine.resource_exhausted] /
-    [engine.cancelled] counter, drains the parallel generation, and leaves
-    the pool — and any open transaction snapshot — intact. The error
-    message carries the statement's last {!progress} snapshot (rows,
-    morsels, elapsed), so a killed query reports where it died. All
+    at operator boundaries by the executor. A governor kill surfaces as a
+    typed error ([Timeout] / [Resource_exhausted] / [Cancelled]) from
+    {!execute_err}, bumps the matching [engine.timeout] /
+    [engine.resource_exhausted] / [engine.cancelled] counter, and leaves
+    any open transaction snapshot intact. The error message carries the
+    statement's last {!progress} snapshot (rows, elapsed), so a killed
+    query reports where it died. All
     guardrails default to off (0) and cost nothing while off. *)
 
 val set_statement_timeout : t -> float -> unit
@@ -391,8 +339,8 @@ val set_spill : t -> bool -> unit
     armed, the budget becomes a degradation threshold instead of a kill:
     sorts past the threshold run as external merge sorts and hash-join
     build sides are chunked onto temp files, with results byte-identical
-    to the in-memory path. The batch and parallel executors never spill
-    themselves — they fall back to the spilling serial row path (counted
+    to the in-memory path. The batch executor never spills itself — it
+    falls back to the spilling row path (counted
     in [executor.spill.fallbacks]). When off, the tuple budget arms the
     token and blowing it raises [Resource_exhausted] as before. *)
 
@@ -407,14 +355,13 @@ val spill_dir : t -> string
 
 val cancel : t -> string -> unit
 (** Cooperatively cancel the running statement from another domain; it
-    stops at its next token check with kind [Cancelled]. Noticed at morsel
-    boundaries always, and at per-operator checks whenever a timeout or
-    tuple budget is armed. Safe to call at any time. *)
+    stops at its next token check with kind [Cancelled]: at operator start
+    always, and at per-operator row checks whenever a timeout or tuple
+    budget is armed. Safe to call at any time. *)
 
 val close : t -> unit
-(** Runs the {!at_close} hooks (newest first), then releases the worker
-    domains. The session stays usable: the next parallel query recreates
-    the pool. Idempotent (hooks run once). *)
+(** Runs the {!at_close} hooks (newest first), then closes the WAL. The
+    session stays usable, in memory. Idempotent (hooks run once). *)
 
 val at_close : t -> (unit -> unit) -> unit
 (** Register a shutdown hook run by {!close} — e.g. draining the HTTP
@@ -496,8 +443,8 @@ val wal_status : t -> wal_status option
     append/fsync/checkpoint/replay, spill activity, GC major slices,
     fault firings, governor kills and watchdog verdicts. When a
     statement ends in an anomaly — typed error, timeout, cancellation,
-    resource exhaustion, injected fault, watchdog-flagged regression or
-    a parallel→serial degradation — or when startup WAL replay recovers
+    resource exhaustion, injected fault or watchdog-flagged regression —
+    or when startup WAL replay recovers
     prior state, the engine snapshots a {e forensics bundle}: one
     self-contained JSON document ({!Perm_obs.Bundle_schema}) holding the
     SQL and fingerprint, the plan with estimated vs actual rows per
@@ -528,7 +475,7 @@ module Forensics : sig
     fs_class : string;
         (** one of {!Perm_obs.Bundle_schema.classes}: [error], [timeout],
             [cancelled], [resource_exhausted], [fault], [regression],
-            [degraded], [wal_replay] *)
+            [wal_replay] *)
     fs_fingerprint : string;
     fs_detail : string;
     fs_sql : string;

@@ -180,8 +180,6 @@ let healthz engine server_ref start_s =
          ("statements", Json.Int (Metrics.counter m "engine.statements"));
          ("errors", Json.Int (Metrics.counter m "engine.errors"));
          ("statement_running", Json.Bool running);
-         ("parallel_domains", Json.Int (Engine.parallel_domains engine));
-         ("pool_size", Json.Int (Engine.pool_size engine));
          ("regressions", Json.Int (Metrics.counter m "history.regressions"));
          ( "wal",
            match Engine.wal_status engine with
@@ -240,7 +238,6 @@ let readyz engine =
                  Json.Float (Engine.statement_timeout engine) );
                ("row_limit", Json.Int (Engine.row_limit engine));
                ("tuple_budget", Json.Int (Engine.tuple_budget engine));
-               ("parallel_domains", Json.Int (Engine.parallel_domains engine));
              ] );
          ( "watchdog",
            Json.Obj
@@ -280,8 +277,6 @@ let progress_json (pr : Engine.progress) =
       ("running", Json.Bool pr.Engine.pr_running);
       ("elapsed_ms", Json.Float pr.Engine.pr_elapsed_ms);
       ("rows", Json.Int pr.Engine.pr_rows);
-      ("morsels_done", Json.Int pr.Engine.pr_morsels_done);
-      ("morsels_total", Json.Int pr.Engine.pr_morsels_total);
     ]
 
 (* Replay the retained eventlog ring, then tail it and the live progress
@@ -509,7 +504,7 @@ let start ?max_connections ~port engine =
         restored = Atomic.make false;
       }
     in
-    (* drain before the engine's pool goes away; stop is idempotent so a
+    (* drain before the engine closes; stop is idempotent so a
        manual \serve off followed by engine close is fine *)
     Engine.at_close engine (fun () -> stop t);
     Ok t

@@ -54,10 +54,9 @@ exception Cancel of kind * string
     boundary. [kind] is always [Timeout], [Resource_exhausted] or
     [Cancelled]. *)
 
-(** A cooperative cancellation token: one per top-level statement, shared
-    by the serial executor and every parallel worker domain. All state is
-    atomic, so a [cancel] from another domain (or a deadline noticed by one
-    worker) is seen by the rest at their next morsel boundary. *)
+(** A cooperative cancellation token: one per top-level statement, checked
+    by the executor at operator boundaries. All state is atomic, so a
+    [cancel] from another domain is seen at the executor's next check. *)
 module Token : sig
   type t
 

@@ -34,7 +34,7 @@ module Token = Perm_err.Token
 module Spill = Perm_storage.Spill
 
 (* Chaos-harness injection points (no-ops unless armed via Perm_fault),
-   shared between the serial and parallel paths of each operator. *)
+   shared between the row and batch paths of each operator. *)
 let fp_join_build = Perm_fault.point "join.build"
 let fp_agg_merge = Perm_fault.point "agg.merge"
 let fp_sort = Perm_fault.point "sort.materialize"
@@ -44,13 +44,12 @@ let fp_sort = Perm_fault.point "sort.materialize"
 (* ------------------------------------------------------------------ *)
 
 (* Statement-scoped spill configuration, installed by the entry points
-   ([run_rows]/[run]/[run_instrumented]/[Par.prepare]) from the engine's
-   governor settings. An atomic module global rather than a parameter
-   because it must reach operator closures across the whole compile
-   recursion and the parallel workers; the engine executes one statement
-   at a time, so statement scoping is enough. When set, the serial row
-   path spills sort materializations and join build sides past the
-   threshold, while the batch and parallel paths raise
+   ([run_rows]/[run]/[run_instrumented]) from the engine's governor
+   settings. A module global rather than a parameter because it must
+   reach operator closures across the whole compile recursion; the
+   engine executes one statement at a time, so statement scoping is
+   enough. When set, the row path spills sort materializations and join
+   build sides past the threshold, while the batch path raises
    {!Spill.Fallback_needed} so the engine can retry on the row path. *)
 let current_spill : Spill.config option Atomic.t = Atomic.make None
 
@@ -64,16 +63,11 @@ let spill_fallback ~what n threshold =
     Printf.sprintf "%s materialized %d rows over the spill threshold %d" what
       n threshold
   in
-  (* the flight recorder sees *why* the batch/parallel path bailed, not
+  (* the flight recorder sees *why* the batch path bailed, not
      just that a fallback happened (note_fallback fires later, when the
      engine catches the exception and re-plans on the row path) *)
   Spill.observe "fallback-reason" reason;
   raise (Spill.Fallback_needed reason)
-
-let fallback_if_spill ~what n =
-  match spill_config () with
-  | Some c when n > c.Spill.threshold -> spill_fallback ~what n c.Spill.threshold
-  | _ -> ()
 
 (* Hard ceiling for materialized state no path can spill (hash-aggregate
    groups, DISTINCT / set-op seen-tables). With spill on the row-path
@@ -188,27 +182,12 @@ let external_sort (cfg : Spill.config) cmp (seq : Tuple.t Seq.t) : Tuple.t Seq.t
 type provider = {
   scan_table : string -> Tuple.t Seq.t;
   probe_index : string -> int -> Value.t -> Tuple.t Seq.t;
-  scan_morsels : string -> int -> Tuple.t array array;
-      (* contiguous row slices of at most [morsel_rows] rows, in scan order:
-         concatenating them must reproduce [scan_table] exactly *)
   scan_batches : string -> int -> Perm_storage.Batch.t array;
       (* columnar batches of at most [batch_rows] live rows, in scan order:
          their live tuples must reproduce [scan_table] exactly. Storage
          backends may serve these from a cached columnar image; callers
          must never mutate the column arrays. *)
 }
-
-(* Default morsel slicing for providers without native chunked storage
-   (virtual system relations, test fixtures). *)
-let morsels_of_list ~morsel_rows rows =
-  let rows = Array.of_list rows in
-  let len = Array.length rows in
-  let size = max 1 morsel_rows in
-  Array.init
-    ((len + size - 1) / size)
-    (fun i ->
-      let pos = i * size in
-      Array.sub rows pos (min size (len - pos)))
 
 (* Default batch slicing for providers without native columnar storage. *)
 let batches_of_list ~arity ~batch_rows rows =
@@ -419,7 +398,7 @@ let key_usable (null_safety : bool array) (key : Tuple.t) =
 (* ------------------------------------------------------------------ *)
 
 (* The one hash table behind every join build: the row path and its
-   spilled chunks, the batch path, and both parallel fragments. A key
+   spilled chunks, and the batch path. A key
    maps to the indexes of its build rows in ascending order, which is
    the order every probe emits matches in.
 
@@ -587,8 +566,7 @@ let join_row_lookup spec jt : Tuple.t -> int list =
   | None, By_tuple tbl -> fun lrow -> tuple_find spec tbl (key_of spec.js_lkey lrow)
   | None, (By_int _ | By_str _) -> assert false (* only single keys are typed *)
 
-(* Batch-path probe; [lkey] fills multi-column keys (it may hold a row
-   cursor, so the parallel path passes one per morsel). *)
+(* Batch-path probe; [lkey] fills multi-column keys. *)
 let join_batch_lookup spec ~(lkey : Batch.t -> int -> Tuple.t) jt :
     Batch.t -> int -> int list =
   match spec.js_single, jt.jt_probe with
@@ -1264,22 +1242,6 @@ let guard_wrap (token : Token.t) : wrapper =
           row)
         (thunk ())
 
-(* The same guard for push-based parallel fragments: wraps a morsel
-   worker's emit sink. Must be instantiated once per task so the pending
-   counter stays domain-local. *)
-let guard_emit (token : Token.t) emit =
-  if not (Token.active token) then emit
-  else begin
-    let pending = ref 0 in
-    fun row ->
-      incr pending;
-      if !pending >= guard_interval then begin
-        Token.charge token !pending;
-        pending := 0
-      end;
-      emit row
-  end
-
 let over_row_limit limit =
   raise
     (Perm_err.Cancel
@@ -1324,8 +1286,7 @@ let materialize ?row_limit ?progress seq =
    expand matches out of line into capped output batches; aggregation feeds
    group states from column reads. Every kernel applies the exact same
    [Value] operations in the exact same row order as the row path, so
-   results are byte-identical by construction and the serial/parallel
-   determinism contract carries over unchanged. *)
+   results are byte-identical by construction. *)
 
 let default_batch_rows = 1024
 
@@ -1354,8 +1315,7 @@ let positions_of_schema (schema : Attr.t list) : Attr.t -> int option =
    batch [b]. Plain attributes and constants compile to direct array
    reads; everything else reuses the row compiler through a current-row
    cursor, so semantics and error messages are identical by construction.
-   The cursor makes general evaluators stateful: NOT shareable across
-   domains — the parallel path instantiates them per morsel. *)
+   The cursor makes general evaluators stateful. *)
 let bexpr_of (pos : Attr.t -> int option) (e : Expr.t) : Batch.t -> int -> Value.t =
   match e with
   | Expr.Const v -> fun _ _ -> v
@@ -1426,24 +1386,6 @@ let collect_tuples_bounded ~what (bs : Batch.t Seq.t) : Tuple.t array =
       if !n > limit then spill_fallback ~what !n limit;
       List.iter (fun t -> acc := t :: !acc) (Batch.to_tuples b))
     bs;
-  Array.of_list (List.rev !acc)
-
-(* Incremental-threshold Array.of_seq for tuple streams (parallel build
-   sides): same contract as {!collect_tuples_bounded}. *)
-let array_of_seq_bounded ~what (seq : Tuple.t Seq.t) : Tuple.t array =
-  let limit =
-    match spill_config () with
-    | Some c -> c.Spill.threshold
-    | None -> max_int
-  in
-  let acc = ref [] in
-  let n = ref 0 in
-  Seq.iter
-    (fun t ->
-      incr n;
-      if !n > limit then spill_fallback ~what !n limit;
-      acc := t :: !acc)
-    seq;
   Array.of_list (List.rev !acc)
 
 (* ---- filter kernels ---------------------------------------------- *)
@@ -1566,8 +1508,7 @@ let narrow_generic (keep : Batch.t -> int -> bool) :
   done;
   !m
 
-(* NOT thread-safe in general (generic fallback kernels carry a row
-   cursor): instantiate per worker on the parallel path. *)
+(* Generic fallback kernels carry a row cursor, so a kernel is stateful. *)
 let conjunct_kernel (pos : Attr.t -> int option) (c : Expr.t) :
     Batch.t -> int array -> int -> int =
   let col a = pos a in
@@ -2607,853 +2548,6 @@ let run_instrumented ?(token = Token.none) ?row_limit ?progress ?batch_rows
       row_path ())
   | _ -> row_path ()
 
-(* ------------------------------------------------------------------ *)
-(* Morsel-driven parallel execution (Leis et al., SIGMOD 2014)         *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel mode executes an eligible plan as: one serial *build*
-   phase (hash tables for join right sides, expression compilation), then
-   a fan-out of scan->filter->project->probe pipeline *fragments* over
-   fixed-size morsels of the driving base relation on a domain pool, then
-   a serial merge (concatenation in morsel order; partitioned
-   pre-aggregation merged group-by-group for Aggregate) and a serial tail
-   (Sort/Limit/final Project).
-
-   Determinism: morsels partition the scan in scan order and per-morsel
-   outputs are concatenated in morsel-index order, so the merged row
-   stream is exactly the serial stream; aggregate groups are merged in
-   that same order, so first-seen group order matches serial execution,
-   and Sum/Avg over floats are excluded from parallel merging because
-   float addition is not associative. Results are bit-identical to the
-   serial closures by construction.
-
-   Plans containing Apply (correlated subplans), Right/Full joins,
-   Distinct, Set_op, Index_scan spines, or non-mergeable aggregates fall
-   back to the serial path. *)
-module Par = struct
-  module Dtype = Perm_value.Dtype
-
-  type node_profile = {
-    np_node : Plan.t;  (* physical node within the executed plan *)
-    np_rows : int;  (* rows the stage emitted, summed over all morsels *)
-    np_loops : int;  (* stage instantiations (one per morsel, or 1 for
-                        serial merge/tail stages) *)
-  }
-
-  type report = {
-    par_domains : int;  (* pool size, caller included *)
-    par_morsels : int;  (* tasks fanned out *)
-    par_participants : int;  (* workers that executed at least one morsel *)
-    par_pool : Pool.report;  (* per-worker accounting and morsel slices *)
-    par_nodes : node_profile list;  (* [] unless profiling was requested *)
-  }
-
-  let default_morsel_rows = 1024
-
-  (* Plan-node profiling for the push-based path: one atomic row/loop
-     counter pair per recognized pipeline stage, shared by all workers.
-     With profiling off no counter exists and the emit chains compile
-     exactly as before. *)
-  type stage_counter = {
-    sc_node : Plan.t;
-    sc_rows : int Atomic.t;
-    sc_loops : int Atomic.t;
-  }
-
-  let prof_register prof node =
-    match prof with
-    | None -> None
-    | Some reg ->
-      let c =
-        { sc_node = node; sc_rows = Atomic.make 0; sc_loops = Atomic.make 0 }
-      in
-      reg := c :: !reg;
-      Some c
-
-  (* Instantiated once per morsel: bumps the stage's loop count and wraps
-     the sink to count emitted rows. *)
-  let prof_emit c emit =
-    match c with
-    | None -> emit
-    | Some c ->
-      Atomic.incr c.sc_loops;
-      fun row ->
-        Atomic.incr c.sc_rows;
-        emit row
-
-  (* Batch-fragment variant of [prof_emit]: rows accumulate by live count
-     per pushed batch; loops still count chain instantiations (morsels). *)
-  let prof_bemit c emit =
-    match c with
-    | None -> emit
-    | Some c ->
-      Atomic.incr c.sc_loops;
-      fun b ->
-        ignore (Atomic.fetch_and_add c.sc_rows (Batch.live b));
-        emit b
-
-  (* One-shot accounting for serial stages (aggregate merge, sort/limit/
-     project tails). *)
-  let prof_count c rows =
-    match c with
-    | None -> ()
-    | Some c ->
-      Atomic.incr c.sc_loops;
-      ignore (Atomic.fetch_and_add c.sc_rows rows)
-
-  (* Aggregates whose partial states merge without changing the result
-     bit-for-bit. DISTINCT needs a cross-partition seen-set; float Sum/Avg
-     would reassociate additions. *)
-  let mergeable_agg (c : Plan.agg_call) =
-    (not c.distinct)
-    &&
-    match c.agg with
-    | Plan.Count_star | Plan.Count | Plan.Min | Plan.Max | Plan.Bool_and
-    | Plan.Bool_or ->
-      true
-    | Plan.Sum | Plan.Avg -> (
-      match c.arg with
-      | Some (Expr.Attr a) -> Dtype.equal a.Attr.ty Dtype.Int
-      | Some (Expr.Const (Value.Int _)) -> true
-      | _ -> false)
-
-  let agg_merge (call : Plan.agg_call) g p =
-    match call.agg with
-    | Plan.Count_star | Plan.Count -> g.count <- g.count + p.count
-    | Plan.Sum | Plan.Avg ->
-      g.sum_count <- g.sum_count + p.sum_count;
-      if not (Value.is_null p.sum) then
-        g.sum <-
-          (if Value.is_null g.sum then p.sum
-           else
-             match Value.add g.sum p.sum with
-             | Ok s -> s
-             | Error msg -> err msg)
-    | Plan.Min ->
-      if
-        (not (Value.is_null p.extreme))
-        && (Value.is_null g.extreme || Value.compare p.extreme g.extreme < 0)
-      then g.extreme <- p.extreme
-    | Plan.Max ->
-      if
-        (not (Value.is_null p.extreme))
-        && (Value.is_null g.extreme || Value.compare p.extreme g.extreme > 0)
-      then g.extreme <- p.extreme
-    | Plan.Bool_and | Plan.Bool_or -> (
-      match g.extreme, p.extreme with
-      | _, Value.Null -> ()
-      | Value.Null, v -> g.extreme <- v
-      | Value.Bool a, Value.Bool b ->
-        g.extreme <-
-          Value.Bool (if call.agg = Plan.Bool_and then a && b else a || b)
-      | _ -> assert false)
-
-  let rec iter3 f a b c =
-    match a, b, c with
-    | [], [], [] -> ()
-    | x :: a, y :: b, z :: c ->
-      f x y z;
-      iter3 f a b c
-    | _ -> invalid_arg "iter3"
-
-  (* Compile an eligible pipeline fragment. [Some (table, inst)] means the
-     fragment is driven by morsels of [table]; [inst ()] runs the serial
-     build phase (hash joins) and returns a consumer factory: applied to an
-     [emit] sink it yields the per-row entry point of the fragment. The
-     factory and the closures it builds are stateless apart from [emit],
-     so each worker instantiates its own chain per morsel. *)
-  let rec frag ~(provider : provider) ?prof (plan : Plan.t) :
-      (string * (unit -> (Tuple.t -> unit) -> Tuple.t -> unit)) option =
-    match plan with
-    | Plan.Scan { table; _ } ->
-      let c = prof_register prof plan in
-      Some (table, fun () emit -> prof_emit c emit)
-    | Plan.Baserel { child; _ } | Plan.External { child; _ } ->
-      frag ~provider ?prof child
-    | Plan.Filter { child; pred } -> (
-      match frag ~provider ?prof child with
-      | None -> None
-      | Some (table, inst) ->
-        let resolve = resolver_of_schema (Plan.schema child) in
-        let fpred = compile_pred resolve pred in
-        let c = prof_register prof plan in
-        Some
-          ( table,
-            fun () ->
-              let mk = inst () in
-              fun emit ->
-                let emit = prof_emit c emit in
-                mk (fun row -> if fpred row then emit row) ))
-    | Plan.Project { child; cols } -> (
-      match frag ~provider ?prof child with
-      | None -> None
-      | Some (table, inst) ->
-        let resolve = resolver_of_schema (Plan.schema child) in
-        let fs = Array.of_list (List.map (fun (e, _) -> compile_expr resolve e) cols) in
-        let c = prof_register prof plan in
-        Some
-          ( table,
-            fun () ->
-              let mk = inst () in
-              fun emit ->
-                let emit = prof_emit c emit in
-                mk (fun row -> emit (Array.map (fun f -> f row) fs)) ))
-    | Plan.Join
-        {
-          kind = (Plan.Inner | Plan.Cross | Plan.Left | Plan.Semi | Plan.Anti) as kind;
-          left;
-          right;
-          pred;
-        } -> (
-      match frag ~provider ?prof left with
-      | None -> None
-      | Some (table, inst) ->
-        let left_schema = Plan.schema left
-        and right_schema = Plan.schema right in
-        let r_arity = List.length right_schema in
-        let l_resolve = resolver_of_schema left_schema in
-        let r_resolve = resolver_of_schema right_schema in
-        let spec = join_spec ~l_resolve ~r_resolve left_schema right_schema pred in
-        let residual_f =
-          match spec.js_residual with
-          | [] -> fun _ -> true
-          | preds ->
-            compile_pred
-              (resolver_of_schema (left_schema @ right_schema))
-              (Expr.conjoin preds)
-        in
-        let run_right = compile ~provider ~wrap:no_wrap no_outer right in
-        let c = prof_register prof plan in
-        Some
-          ( table,
-            fun () ->
-              let mk = inst () in
-              (* serial build: hash the right side once; workers only read *)
-              Perm_fault.trip fp_join_build;
-              (* the parallel path does not spill; hand oversized builds
-                 back to the engine for a spilling serial retry, bailing
-                 as soon as the threshold is crossed *)
-              let right_rows =
-                array_of_seq_bounded ~what:"parallel join build"
-                  (run_right ())
-              in
-              let lookup =
-                join_row_lookup spec (build_join_table spec right_rows)
-              in
-              let probe lrow =
-                List.filter_map
-                  (fun idx ->
-                    let combined = Tuple.concat lrow right_rows.(idx) in
-                    if residual_f combined then Some combined else None)
-                  (lookup lrow)
-              in
-              fun emit ->
-                let emit = prof_emit c emit in
-                let stage lrow =
-                  match kind with
-                  | Plan.Semi -> if probe lrow <> [] then emit lrow
-                  | Plan.Anti -> if probe lrow = [] then emit lrow
-                  | Plan.Inner | Plan.Cross -> List.iter emit (probe lrow)
-                  | Plan.Left -> (
-                    match probe lrow with
-                    | [] -> emit (Tuple.concat lrow (Array.make r_arity Value.Null))
-                    | matches -> List.iter emit matches)
-                  | Plan.Right | Plan.Full -> assert false
-                in
-                mk stage ))
-    | _ -> None
-
-  (* Batch-fragment compilation: the same pipeline spine as [frag], but
-     workers push columnar batches instead of rows, reusing the serial
-     batch kernels (selection-vector filters, pointer-sharing projections,
-     out-of-line probe expansion) so per-morsel overhead amortizes across
-     [batch_rows] rows and the output row order stays byte-identical to
-     the serial paths. The returned [int] is the driving scan's arity.
-     Kernels with a row cursor (generic expression fallbacks) are
-     instantiated per morsel in the [fun emit ->] stage, which runs on the
-     claiming worker — nothing mutable is shared across domains except
-     the read-only join hash tables built serially in [inst ()]. *)
-  let rec bfrag ~(provider : provider) ~batch_rows ?prof (plan : Plan.t) :
-      (string * int * (unit -> (Batch.t -> unit) -> Batch.t -> unit)) option =
-    match plan with
-    | Plan.Scan { table; _ } ->
-      let c = prof_register prof plan in
-      let arity = List.length (Plan.schema plan) in
-      Some (table, arity, fun () emit -> prof_bemit c emit)
-    | Plan.Baserel { child; _ } | Plan.External { child; _ } ->
-      bfrag ~provider ~batch_rows ?prof child
-    | Plan.Filter { child; pred } -> (
-      match bfrag ~provider ~batch_rows ?prof child with
-      | None -> None
-      | Some (table, arity, inst) ->
-        let pos = positions_of_schema (Plan.schema child) in
-        let conjuncts = Expr.conjuncts pred in
-        let c = prof_register prof plan in
-        Some
-          ( table,
-            arity,
-            fun () ->
-              let mk = inst () in
-              fun emit ->
-                let emit = prof_bemit c emit in
-                let kernels = List.map (conjunct_kernel pos) conjuncts in
-                mk (fun b ->
-                    match apply_filter kernels b with
-                    | None -> ()
-                    | Some b -> emit b) ))
-    | Plan.Project { child; cols } -> (
-      match bfrag ~provider ~batch_rows ?prof child with
-      | None -> None
-      | Some (table, arity, inst) ->
-        let pos = positions_of_schema (Plan.schema child) in
-        let c = prof_register prof plan in
-        Some
-          ( table,
-            arity,
-            fun () ->
-              let mk = inst () in
-              fun emit ->
-                let emit = prof_bemit c emit in
-                let builders = project_builders pos cols in
-                mk (fun b -> emit (apply_project builders b)) ))
-    | Plan.Join
-        {
-          kind = (Plan.Inner | Plan.Cross | Plan.Left | Plan.Semi | Plan.Anti) as kind;
-          left;
-          right;
-          pred;
-        } -> (
-      match bfrag ~provider ~batch_rows ?prof left with
-      | None -> None
-      | Some (table, arity, inst) ->
-        let left_schema = Plan.schema left
-        and right_schema = Plan.schema right in
-        let r_arity = List.length right_schema in
-        let l_pos = positions_of_schema left_schema in
-        let r_resolve = resolver_of_schema right_schema in
-        let spec =
-          join_spec ~l_resolve:(resolver_of_schema left_schema) ~r_resolve
-            left_schema right_schema pred
-        in
-        let residual_f =
-          match spec.js_residual with
-          | [] -> None
-          | preds ->
-            Some
-              (compile_pred
-                 (resolver_of_schema (left_schema @ right_schema))
-                 (Expr.conjoin preds))
-        in
-        let run_right = compile ~provider ~wrap:no_wrap no_outer right in
-        let c = prof_register prof plan in
-        Some
-          ( table,
-            arity,
-            fun () ->
-              let mk = inst () in
-              (* serial build: hash the right side once; workers only read *)
-              Perm_fault.trip fp_join_build;
-              let right_rows =
-                array_of_seq_bounded ~what:"parallel join build"
-                  (run_right ())
-              in
-              let jt = build_join_table spec right_rows in
-              fun emit ->
-                let emit = prof_bemit c emit in
-                let lookup =
-                  join_batch_lookup spec ~lkey:(key_filler l_pos spec.js_lexprs) jt
-                in
-                mk (fun lb ->
-                    List.iter emit
-                      (probe_batch ~kind ~r_arity ~batch_rows ~lookup
-                         ~rows:right_rows ~residual_f ~matched_right:None lb)) ))
-    | _ -> None
-
-  (* Fan a compiled fragment out over the driving table's morsels; per-
-     morsel outputs concatenate in morsel order, reproducing scan order.
-     Every task checks the cancellation token before touching its morsel
-     and charges it per emitted batch, so a kill (deadline, budget, manual
-     cancel) noticed by any domain stops the rest at their next morsel. *)
-  (* Batch variant of [run_pipeline]: each task slices its morsel into
-     batches of [batch_rows] and pushes them through the fragment chain;
-     emitted batches flatten back to rows per morsel, so the morsel-order
-     merge (and therefore row order) is unchanged. The token is charged
-     once per emitted batch — cancel checks at batch boundaries. *)
-  let run_bpipeline ~provider ~pool ~morsel_rows ~batch_rows ~token ?prof
-      ?progress plan =
-    match bfrag ~provider ~batch_rows ?prof plan with
-    | None -> None
-    | Some (table, arity, inst) ->
-      Some
-        (fun () ->
-          Token.check token;
-          let morsels = provider.scan_morsels table morsel_rows in
-          let mk = inst () in
-          let n = Array.length morsels in
-          Option.iter (fun p -> Progress.set_morsels_total p n) progress;
-          let out = Array.make n [] in
-          let charge =
-            if Token.active token then fun k -> Token.charge token k
-            else fun _ -> ()
-          in
-          let tasks =
-            Array.init n (fun i () ->
-                Token.check token;
-                let acc = ref [] and cnt = ref 0 in
-                let consume =
-                  mk (fun b ->
-                      let live = Batch.live b in
-                      charge live;
-                      cnt := !cnt + live;
-                      List.iter
-                        (fun t -> acc := t :: !acc)
-                        (Batch.to_tuples b))
-                in
-                let m = morsels.(i) in
-                let len = Array.length m in
-                let size = max 1 batch_rows in
-                let off = ref 0 in
-                while !off < len do
-                  let l = min size (len - !off) in
-                  consume (Batch.of_rows ~arity m ~pos:!off ~len:l);
-                  off := !off + l
-                done;
-                out.(i) <- List.rev !acc;
-                Option.iter
-                  (fun p ->
-                    Progress.add_rows p !cnt;
-                    Progress.incr_morsels_done p)
-                  progress;
-                !cnt)
-          in
-          let rp = Pool.run pool tasks in
-          (List.concat (Array.to_list out), n, rp))
-
-  (* Batch variant of [run_aggregate]: per-morsel pre-aggregation fed from
-     column reads, merged in morsel order with the same [agg_merge] as the
-     row path — results and group order stay byte-identical to serial. *)
-  let run_baggregate ~provider ~pool ~morsel_rows ~batch_rows ~token ?prof
-      ?progress plan child group_by aggs =
-    if not (List.for_all mergeable_agg aggs) then None
-    else
-      match bfrag ~provider ~batch_rows ?prof child with
-      | None -> None
-      | Some (table, arity, inst) ->
-        let pos = positions_of_schema (Plan.schema child) in
-        let group_exprs = List.map fst group_by in
-        let aggs_arr = Array.of_list aggs in
-        let nagg = Array.length aggs_arr in
-        let global = group_by = [] in
-        let c = prof_register prof plan in
-        Some
-          (fun () ->
-            let morsels = provider.scan_morsels table morsel_rows in
-            let mk = inst () in
-            let n = Array.length morsels in
-            Option.iter (fun p -> Progress.set_morsels_total p n) progress;
-            let partials : (Tuple.t * agg_state array) list array =
-              Array.make n []
-            in
-            let charge =
-              if Token.active token then fun k -> Token.charge token k
-              else fun _ -> ()
-            in
-            let tasks =
-              Array.init n (fun i () ->
-                  Token.check token;
-                  let groups = Tuple.Hash.create 64 in
-                  let order = ref [] in
-                  let cnt = ref 0 in
-                  let gkey = key_filler pos group_exprs in
-                  let arg_gets =
-                    Array.of_list
-                      (List.map
-                         (fun (ac : Plan.agg_call) ->
-                           Option.map (bexpr_of pos) ac.arg)
-                         aggs)
-                  in
-                  let consume =
-                    mk (fun b ->
-                        let live = Batch.live b in
-                        charge live;
-                        cnt := !cnt + live;
-                        Batch.iter_live
-                          (fun p ->
-                            let key = gkey b p in
-                            let states =
-                              match Tuple.Hash.find_opt groups key with
-                              | Some s -> s
-                              | None ->
-                                let s =
-                                  Array.map (fun a -> new_agg_state a) aggs_arr
-                                in
-                                Tuple.Hash.replace groups key s;
-                                (* Cancel raised here propagates through
-                                   Pool.run to the coordinator *)
-                                budget_materialized ~what:"GROUP BY"
-                                  (Tuple.Hash.length groups);
-                                order := (key, s) :: !order;
-                                s
-                            in
-                            for k = 0 to nagg - 1 do
-                              let v =
-                                match arg_gets.(k) with
-                                | None -> None
-                                | Some g -> Some (g b p)
-                              in
-                              agg_feed aggs_arr.(k) states.(k) v
-                            done)
-                          b)
-                  in
-                  let m = morsels.(i) in
-                  let len = Array.length m in
-                  let size = max 1 batch_rows in
-                  let off = ref 0 in
-                  while !off < len do
-                    let l = min size (len - !off) in
-                    consume (Batch.of_rows ~arity m ~pos:!off ~len:l);
-                    off := !off + l
-                  done;
-                  partials.(i) <- List.rev !order;
-                  Option.iter
-                    (fun p ->
-                      Progress.add_rows p !cnt;
-                      Progress.incr_morsels_done p)
-                    progress;
-                  !cnt)
-            in
-            let rp = Pool.run pool tasks in
-            Token.check token;
-            Perm_fault.trip fp_agg_merge;
-            let groups = Tuple.Hash.create 64 in
-            let order = ref [] in
-            Array.iter
-              (List.iter (fun (key, states) ->
-                   match Tuple.Hash.find_opt groups key with
-                   | None ->
-                     Tuple.Hash.replace groups key states;
-                     budget_materialized ~what:"GROUP BY"
-                       (Tuple.Hash.length groups);
-                     order := key :: !order
-                   | Some gstates ->
-                     for k = 0 to nagg - 1 do
-                       agg_merge aggs_arr.(k) gstates.(k) states.(k)
-                     done))
-              partials;
-            let emit key states =
-              Array.append key (Array.map2 agg_result aggs_arr states)
-            in
-            let rows =
-              if global && Tuple.Hash.length groups = 0 then
-                [ emit [||] (Array.map (fun a -> new_agg_state a) aggs_arr) ]
-              else
-                List.rev_map
-                  (fun key -> emit key (Tuple.Hash.find groups key))
-                  !order
-            in
-            prof_count c (List.length rows);
-            (rows, n, rp))
-
-  let run_row_pipeline ~provider ~pool ~morsel_rows ~token ?prof ?progress
-      plan =
-    match frag ~provider ?prof plan with
-    | None -> None
-    | Some (table, inst) ->
-      Some
-        (fun () ->
-          Token.check token;
-          let morsels = provider.scan_morsels table morsel_rows in
-          let mk = inst () in
-          let n = Array.length morsels in
-          Option.iter (fun p -> Progress.set_morsels_total p n) progress;
-          let out = Array.make n [] in
-          let tasks =
-            Array.init n (fun i () ->
-                Token.check token;
-                let acc = ref [] and cnt = ref 0 in
-                let consume =
-                  mk
-                    (guard_emit token (fun row ->
-                         incr cnt;
-                         acc := row :: !acc))
-                in
-                let m = morsels.(i) in
-                for j = 0 to Array.length m - 1 do
-                  consume m.(j)
-                done;
-                out.(i) <- List.rev !acc;
-                Option.iter
-                  (fun p ->
-                    Progress.add_rows p !cnt;
-                    Progress.incr_morsels_done p)
-                  progress;
-                !cnt)
-          in
-          let rp = Pool.run pool tasks in
-          (List.concat (Array.to_list out), n, rp))
-
-  let run_pipeline ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof
-      ?progress plan =
-    match batch_rows with
-    | Some bn when bn > 0 ->
-      run_bpipeline ~provider ~pool ~morsel_rows ~batch_rows:bn ~token ?prof
-        ?progress plan
-    | _ ->
-      run_row_pipeline ~provider ~pool ~morsel_rows ~token ?prof ?progress plan
-
-  (* Partitioned pre-aggregation: each morsel aggregates into its own group
-     table, the driver merges partitions in morsel order so the first-seen
-     group order (and therefore row order) matches serial execution. *)
-  let run_row_aggregate ~provider ~pool ~morsel_rows ~token ?prof ?progress
-      plan child group_by aggs =
-    if not (List.for_all mergeable_agg aggs) then None
-    else
-      match frag ~provider ?prof child with
-      | None -> None
-      | Some (table, inst) ->
-        let resolve = resolver_of_schema (Plan.schema child) in
-        let group_fs =
-          Array.of_list (List.map (fun (e, _) -> compile_expr resolve e) group_by)
-        in
-        let agg_arg_fs =
-          List.map
-            (fun (c : Plan.agg_call) -> Option.map (compile_expr resolve) c.arg)
-            aggs
-        in
-        let global = group_by = [] in
-        let c = prof_register prof plan in
-        Some
-          (fun () ->
-            let morsels = provider.scan_morsels table morsel_rows in
-            let mk = inst () in
-            let n = Array.length morsels in
-            Option.iter (fun p -> Progress.set_morsels_total p n) progress;
-            let partials : (Tuple.t * agg_state list) list array =
-              Array.make n []
-            in
-            let tasks =
-              Array.init n (fun i () ->
-                  Token.check token;
-                  let groups = Tuple.Hash.create 64 in
-                  let order = ref [] in
-                  let cnt = ref 0 in
-                  let consume =
-                    mk
-                      (guard_emit token (fun row ->
-                        incr cnt;
-                        let key = key_of group_fs row in
-                        let states =
-                          match Tuple.Hash.find_opt groups key with
-                          | Some states -> states
-                          | None ->
-                            let states = List.map new_agg_state aggs in
-                            Tuple.Hash.replace groups key states;
-                            budget_materialized ~what:"GROUP BY"
-                              (Tuple.Hash.length groups);
-                            order := (key, states) :: !order;
-                            states
-                        in
-                        iter3
-                          (fun (call : Plan.agg_call) state argf ->
-                            let v =
-                              match argf with
-                              | None -> None
-                              | Some f -> Some (f row)
-                            in
-                            agg_feed call state v)
-                          aggs states agg_arg_fs))
-                  in
-                  let m = morsels.(i) in
-                  for j = 0 to Array.length m - 1 do
-                    consume m.(j)
-                  done;
-                  partials.(i) <- List.rev !order;
-                  Option.iter
-                    (fun p ->
-                      Progress.add_rows p !cnt;
-                      Progress.incr_morsels_done p)
-                    progress;
-                  !cnt)
-            in
-            let rp = Pool.run pool tasks in
-            Token.check token;
-            Perm_fault.trip fp_agg_merge;
-            let groups = Tuple.Hash.create 64 in
-            let order = ref [] in
-            Array.iter
-              (List.iter (fun (key, states) ->
-                   match Tuple.Hash.find_opt groups key with
-                   | None ->
-                     Tuple.Hash.replace groups key states;
-                     budget_materialized ~what:"GROUP BY"
-                       (Tuple.Hash.length groups);
-                     order := key :: !order
-                   | Some gstates -> iter3 agg_merge aggs gstates states))
-              partials;
-            let emit key states =
-              Array.append key
-                (Array.of_list (List.map2 agg_result aggs states))
-            in
-            let rows =
-              if global && Tuple.Hash.length groups = 0 then
-                [ emit [||] (List.map new_agg_state aggs) ]
-              else
-                List.rev_map
-                  (fun key -> emit key (Tuple.Hash.find groups key))
-                  !order
-            in
-            prof_count c (List.length rows);
-            (rows, n, rp))
-
-  let run_aggregate ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof
-      ?progress plan child group_by aggs =
-    match batch_rows with
-    | Some bn when bn > 0 ->
-      run_baggregate ~provider ~pool ~morsel_rows ~batch_rows:bn ~token ?prof
-        ?progress plan child group_by aggs
-    | _ ->
-      run_row_aggregate ~provider ~pool ~morsel_rows ~token ?prof ?progress
-        plan child group_by aggs
-
-  let rec drop n l =
-    if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
-
-  let rec take n l =
-    if n <= 0 then []
-    else match l with [] -> [] | x :: t -> x :: take (n - 1) t
-
-  (* Serial tails (Sort/Limit/final Project) over a parallel core. *)
-  let rec runner ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof
-      ?progress (plan : Plan.t) :
-      (unit -> Tuple.t list * int * Pool.report) option =
-    match plan with
-    | Plan.Aggregate { child; group_by; aggs } ->
-      run_aggregate ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof
-        ?progress plan child group_by aggs
-    | Plan.Sort { child; keys } -> (
-      match runner ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof ?progress child with
-      | None -> None
-      | Some run ->
-        let resolve = resolver_of_schema (Plan.schema child) in
-        let keyfs =
-          List.map (fun (e, dir) -> (compile_expr resolve e, dir)) keys
-        in
-        let cmp a b =
-          let rec go = function
-            | [] -> 0
-            | (f, dir) :: rest ->
-              let c = Value.compare (f a) (f b) in
-              let c = match dir with Plan.Asc -> c | Plan.Desc -> -c in
-              if c <> 0 then c else go rest
-          in
-          go keyfs
-        in
-        let c = prof_register prof plan in
-        Some
-          (fun () ->
-            let rows, m, rp = run () in
-            Token.check token;
-            Perm_fault.trip fp_sort;
-            (* the input list is already materialized by the fragment
-               runner; bail before the extra array copy *)
-            fallback_if_spill ~what:"parallel sort" (List.length rows);
-            let arr = Array.of_list rows in
-            Array.stable_sort cmp arr;
-            prof_count c (Array.length arr);
-            (Array.to_list arr, m, rp)))
-    | Plan.Limit { child; limit; offset } -> (
-      match runner ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof ?progress child with
-      | None -> None
-      | Some run ->
-        let c = prof_register prof plan in
-        Some
-          (fun () ->
-            let rows, m, rp = run () in
-            let rows = drop offset rows in
-            let rows = match limit with Some l -> take l rows | None -> rows in
-            prof_count c (List.length rows);
-            (rows, m, rp)))
-    | Plan.Project { child; cols } -> (
-      (* Project over a scan/join spine runs inside the workers; this tail
-         case only fires for Project over an Aggregate/Sort core. The
-         failed pipeline attempt may have registered stage counters for
-         part of the spine — roll the registry back so only stages that
-         actually run are reported. *)
-      let saved = match prof with Some reg -> !reg | None -> [] in
-      match run_pipeline ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof ?progress plan with
-      | Some r -> Some r
-      | None -> (
-        (match prof with Some reg -> reg := saved | None -> ());
-        match runner ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof ?progress child with
-        | None -> None
-        | Some run ->
-          let resolve = resolver_of_schema (Plan.schema child) in
-          let fs =
-            Array.of_list
-              (List.map (fun (e, _) -> compile_expr resolve e) cols)
-          in
-          let c = prof_register prof plan in
-          Some
-            (fun () ->
-              let rows, m, rp = run () in
-              let rows =
-                List.map (fun row -> Array.map (fun f -> f row) fs) rows
-              in
-              prof_count c (List.length rows);
-              (rows, m, rp))))
-    | _ ->
-      run_pipeline ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof
-        ?progress plan
-
-  (* [prepare] returns None when the plan shape is not morsel-eligible (the
-     caller falls back to the serial compile); otherwise a thunk that runs
-     the parallel plan and reports fan-out statistics. *)
-  let prepare ~provider ~pool ?(morsel_rows = default_morsel_rows)
-      ?batch_rows ?(token = Token.none) ?row_limit ?progress
-      ?(profile = false) ?spill plan =
-    Atomic.set current_spill spill;
-    let prof = if profile then Some (ref []) else None in
-    match
-      runner ~provider ~pool ~morsel_rows ?batch_rows ~token ?prof ?progress
-        plan
-    with
-    | None -> None
-    | Some run ->
-      Some
-        (fun () ->
-          match
-            let rows, morsels, rp = run () in
-            (match row_limit with
-            | Some limit when List.length rows > limit -> over_row_limit limit
-            | _ -> ());
-            (rows, morsels, rp)
-          with
-          | rows, morsels, rp ->
-            let nodes =
-              match prof with
-              | None -> []
-              | Some reg ->
-                List.rev_map
-                  (fun c ->
-                    {
-                      np_node = c.sc_node;
-                      np_rows = Atomic.get c.sc_rows;
-                      np_loops = Atomic.get c.sc_loops;
-                    })
-                  !reg
-            in
-            Ok
-              ( rows,
-                {
-                  par_domains = Pool.size pool;
-                  par_morsels = morsels;
-                  par_participants = rp.Pool.rp_participants;
-                  par_pool = rp;
-                  par_nodes = nodes;
-                } )
-          | exception Runtime_error msg -> Error msg)
-end
-
 let eval_const e =
   match (compile_expr no_outer e) [||] with
   | v -> Ok v
@@ -3478,8 +2572,8 @@ let compile_row_predicate ~schema pred =
    (the hash may only change when the plan itself changes). Attributes
    are renumbered in first-visit order over the pre-order traversal, so
    the same plan shape always serializes identically. The execution mode
-   is mixed in so the parallel verdict flipping is itself a plan change
-   the regression watchdog can attribute. *)
+   is mixed in so a statement switching between the row and batch paths
+   is itself a plan change the regression watchdog can attribute. *)
 let plan_hash ?(mode = "serial") plan =
   let buf = Buffer.create 256 in
   let canon : (int, int) Hashtbl.t = Hashtbl.create 32 in

@@ -1,32 +1,11 @@
-(* A lock-free progress snapshot for a running statement: rows produced at
-   the plan root and morsels claimed/total on the parallel path. Writers
-   (the executing domain and pool workers) only touch atomics; readers
-   (the CLI's progress sampler on another domain, Engine.progress) load
-   them without coordination, so sampling never perturbs execution. *)
+(* A lock-free progress counter for a running statement: rows produced at
+   the plan root. The executing domain only touches an atomic; readers
+   (the CLI's progress sampler on another domain, Engine.progress) load it
+   without coordination, so sampling never perturbs execution. *)
 
-type t = {
-  rows : int Atomic.t;  (* rows materialized at the plan root *)
-  morsels_done : int Atomic.t;
-  morsels_total : int Atomic.t;  (* 0 until a parallel fan-out is sized *)
-}
+type t = int Atomic.t
 
-let create () =
-  {
-    rows = Atomic.make 0;
-    morsels_done = Atomic.make 0;
-    morsels_total = Atomic.make 0;
-  }
-
-let add_rows t n = if n > 0 then ignore (Atomic.fetch_and_add t.rows n)
-let incr_rows t = ignore (Atomic.fetch_and_add t.rows 1)
-let set_morsels_total t n = Atomic.set t.morsels_total n
-let incr_morsels_done t = ignore (Atomic.fetch_and_add t.morsels_done 1)
-
-type snapshot = { sn_rows : int; sn_morsels_done : int; sn_morsels_total : int }
-
-let snapshot t =
-  {
-    sn_rows = Atomic.get t.rows;
-    sn_morsels_done = Atomic.get t.morsels_done;
-    sn_morsels_total = Atomic.get t.morsels_total;
-  }
+let create () = Atomic.make 0
+let add_rows t n = if n > 0 then ignore (Atomic.fetch_and_add t n)
+let incr_rows t = ignore (Atomic.fetch_and_add t 1)
+let rows t = Atomic.get t

@@ -1,27 +1,15 @@
 (** Lock-free live progress for a running statement.
 
     One value per top-level statement, written by the executing domain
-    (rows materialized at the plan root) and by pool workers (morsels
-    claimed), read concurrently by progress samplers — the CLI's
-    [\progress] ticker and [Engine.progress] — without locks or
-    coordination. All counters are atomics; a snapshot is a consistent
-    enough view for monitoring (each field is individually atomic). *)
+    (rows materialized at the plan root) and read concurrently by progress
+    samplers — the CLI's [\progress] ticker and [Engine.progress] —
+    without locks or coordination. *)
 
 type t
 
 val create : unit -> t
-
 val add_rows : t -> int -> unit
 val incr_rows : t -> unit
-val set_morsels_total : t -> int -> unit
-(** Set when a parallel fan-out is sized; stays 0 on the serial path. *)
 
-val incr_morsels_done : t -> unit
-
-type snapshot = {
-  sn_rows : int;
-  sn_morsels_done : int;
-  sn_morsels_total : int;  (** 0 = serial execution (no fan-out sized) *)
-}
-
-val snapshot : t -> snapshot
+val rows : t -> int
+(** Rows materialized at the plan root so far. *)

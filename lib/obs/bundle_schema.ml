@@ -1,9 +1,9 @@
-let schema_tag = "perm.forensics/1"
+let schema_tag = "perm.forensics/2"
 
 let classes =
   [
     "error"; "timeout"; "cancelled"; "resource_exhausted"; "fault";
-    "regression"; "degraded"; "wal_replay";
+    "regression"; "wal_replay";
   ]
 
 let ( let* ) = Result.bind
@@ -131,9 +131,6 @@ let check_spill json =
 
 let check_settings json =
   let path = "settings" in
-  let* _ = int_field path "parallel" json in
-  let* _ = int_field path "parallel_threshold" json in
-  let* _ = int_field path "morsel_rows" json in
   let* _ = int_field path "batch_rows" json in
   let* _ = bool_field path "vectorized" json in
   let* _ = num_field path "timeout_ms" json in

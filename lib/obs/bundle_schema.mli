@@ -7,8 +7,8 @@
     emitting code in [Engine] cannot drift from the checked contract
     unnoticed.
 
-    Checked: the ["perm.forensics/1"] schema tag; identity fields (id, ts,
-    class, detail); the anomaly class being one of the known eight; the
+    Checked: the ["perm.forensics/2"] schema tag; identity fields (id, ts,
+    class, detail); the anomaly class being one of the known seven; the
     statement section (sql, fingerprint); the plan section (plan hash,
     estimate, per-node est/act rows); phase and metrics-delta maps; the
     recorder-event tail (each event typed with seq/ts/kind); the WAL
@@ -16,12 +16,14 @@
     the spill gauges; and the session-settings section. *)
 
 val classes : string list
-(** The eight anomaly classes a bundle may carry: ["error"], ["timeout"],
+(** The seven anomaly classes a bundle may carry: ["error"], ["timeout"],
     ["cancelled"], ["resource_exhausted"], ["fault"], ["regression"],
-    ["degraded"], ["wal_replay"]. *)
+    ["wal_replay"]. *)
 
 val schema_tag : string
-(** ["perm.forensics/1"] — the required value of the ["schema"] field. *)
+(** ["perm.forensics/2"] — the required value of the ["schema"] field.
+    Version 2 dropped the ["degraded"] class and the parallel-execution
+    settings. *)
 
 val validate : Json.t -> (string, string) result
 (** [Ok class] when the document is a well-formed bundle; [Error msg]

@@ -4,7 +4,7 @@
    this session done so far"; this module answers "how has it changed".
    It keeps, per statement fingerprint, a ring buffer of execution
    records — wall and phase milliseconds, rows out, the planner's total
-   row estimate, worker skew, and a structural plan hash — plus
+   row estimate, and a structural plan hash — plus
    cadence-sampled rings for selected Metrics series. Everything is a
    fixed-capacity ring with an eviction counter: a long session can never
    OOM on its own telemetry, it just forgets the oldest records.
@@ -13,7 +13,7 @@
    (and consults the retained ring for a p95) and flags executions that
    exceed the baseline by a configurable factor, attributing the likely
    cause in precedence order: the plan hash changed, the input
-   cardinality grew, the parallel workers were skewed — or unknown. A
+   cardinality grew — or unknown. A
    plan-hash change is always reported, independent of timing, so plan
    flips are visible even when the new plan happens to be fast. *)
 
@@ -95,17 +95,15 @@ type exec_record = {
   ex_ms : float;
   ex_rows : int;
   ex_est_rows : float;  (* planner total estimate; 0 when unplanned *)
-  ex_skew : float;  (* max worker skew of the execution; 1.0 = balanced *)
   ex_error : bool;
   ex_phase_ms : (string * float) list;
 }
 
-type cause = Plan_change | Cardinality | Skew | Unknown
+type cause = Plan_change | Cardinality | Unknown
 
 let cause_label = function
   | Plan_change -> "plan-change"
   | Cardinality -> "cardinality"
-  | Skew -> "skew"
   | Unknown -> "unknown"
 
 type regression = {
@@ -147,7 +145,6 @@ type t = {
   mutable factor : float;  (* watchdog slowdown threshold *)
   mutable min_samples : int;  (* baseline warm-up before flagging *)
   mutable card_factor : float;  (* "cardinality grew" threshold *)
-  mutable skew_threshold : float;
   mutable cadence_s : float;  (* metric sampling cadence; 0 = every call *)
   mutable tracked : string list;
   mutable last_sample_s : float;
@@ -170,7 +167,6 @@ let create () =
     factor = 3.0;
     min_samples = 3;
     card_factor = 2.0;
-    skew_threshold = 1.5;
     cadence_s = 1.0;
     tracked = default_tracked;
     last_sample_s = Float.neg_infinity;
@@ -278,7 +274,6 @@ let factor t = t.factor
 let set_factor t f = t.factor <- Float.max 0. f
 let set_min_samples t n = t.min_samples <- max 1 n
 let set_card_factor t f = t.card_factor <- Float.max 1. f
-let set_skew_threshold t f = t.skew_threshold <- Float.max 1. f
 let cadence t = t.cadence_s
 let set_cadence t s = t.cadence_s <- Float.max 0. s
 let tracked t = t.tracked
@@ -396,8 +391,7 @@ let baseline_floor = 0.01
 let baseline_ms en =
   if en.en_samples = 0 then 0. else Float.max en.en_ewma_ms (ring_p95 en)
 
-let record t ~fingerprint ~ts ~plan_hash ~ms ~rows ~est_rows ~skew ~error
-    ~phases =
+let record t ~fingerprint ~ts ~plan_hash ~ms ~rows ~est_rows ~error ~phases =
   if t.capacity <= 0 then None
   else begin
     t.seq <- t.seq + 1;
@@ -437,9 +431,7 @@ let record t ~fingerprint ~ts ~plan_hash ~ms ~rows ~est_rows ~skew ~error
               Printf.sprintf
                 "est rows %.0f vs baseline %.0f; rows out %d vs %.0f" est_rows
                 en.en_ewma_est rows en.en_ewma_rows )
-          else if skew >= t.skew_threshold then
-            (Skew, Printf.sprintf "worker skew %.2f" skew)
-          else (Unknown, "no plan, cardinality or skew change")
+          else (Unknown, "no plan or cardinality change")
         in
         Some
           {
@@ -468,7 +460,6 @@ let record t ~fingerprint ~ts ~plan_hash ~ms ~rows ~est_rows ~skew ~error
           ex_ms = ms;
           ex_rows = rows;
           ex_est_rows = est_rows;
-          ex_skew = skew;
           ex_error = error;
           ex_phase_ms = phases;
         }
@@ -592,7 +583,6 @@ let exec_to_json r =
       ("ms", Json.Float r.ex_ms);
       ("rows", Json.Int r.ex_rows);
       ("est_rows", Json.Float r.ex_est_rows);
-      ("skew", Json.Float r.ex_skew);
       ("error", Json.Bool r.ex_error);
       ( "phases",
         Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.ex_phase_ms) );

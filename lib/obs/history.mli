@@ -1,8 +1,8 @@
 (** Bounded telemetry history and the regression watchdog.
 
     Per-fingerprint ring buffers of execution records (wall/phase
-    milliseconds, rows out, planner estimate, worker skew, structural plan
-    hash), a global ring of watchdog regression reports, and
+    milliseconds, rows out, planner estimate, structural plan hash), a
+    global ring of watchdog regression reports, and
     cadence-sampled rings for selected {!Metrics} series. Every store is a
     fixed-capacity ring with an eviction counter, and the whole subsystem
     is bounded by an approximate byte budget: a long session cannot OOM on
@@ -11,7 +11,7 @@
     The watchdog keeps an EWMA baseline per fingerprint (combined with the
     p95 of the retained ring) and flags executions that exceed it by a
     configurable factor, attributing a likely cause in precedence order:
-    plan-change, cardinality, skew, unknown. A plan-hash change is always
+    plan-change, cardinality, unknown. A plan-hash change is always
     reported, independent of timing. *)
 
 type t
@@ -24,15 +24,14 @@ type exec_record = {
   ex_ms : float;
   ex_rows : int;
   ex_est_rows : float;  (** planner total estimate; [0.] when unplanned *)
-  ex_skew : float;  (** max worker skew of the execution; [1.0] = balanced *)
   ex_error : bool;
   ex_phase_ms : (string * float) list;
 }
 
-type cause = Plan_change | Cardinality | Skew | Unknown
+type cause = Plan_change | Cardinality | Unknown
 
 val cause_label : cause -> string
-(** ["plan-change"], ["cardinality"], ["skew"], ["unknown"] — the strings
+(** ["plan-change"], ["cardinality"], ["unknown"] — the strings
     surfaced in the [perm_stat_regressions] view. *)
 
 type regression = {
@@ -57,7 +56,7 @@ type metric_sample = {
 val create : unit -> t
 (** Defaults: 128 records per fingerprint, at most 256 fingerprints, an
     8 MiB byte budget, watchdog factor 3.0 after 3 baseline samples,
-    cardinality factor 2.0, skew threshold 1.5, 1 s metric cadence over
+    cardinality factor 2.0, 1 s metric cadence over
     [engine.statements], [engine.errors], [engine.statement.ms] and
     [gc.heap_words]. *)
 
@@ -94,10 +93,6 @@ val set_card_factor : t -> float -> unit
 (** Growth factor of est/actual rows over the baseline EWMA that
     attributes a flagged execution to cardinality. *)
 
-val set_skew_threshold : t -> float -> unit
-(** Worker skew at or above which a flagged execution is attributed to
-    parallel imbalance. *)
-
 val cadence : t -> float
 
 val set_cadence : t -> float -> unit
@@ -116,7 +111,6 @@ val record :
   ms:float ->
   rows:int ->
   est_rows:float ->
-  skew:float ->
   error:bool ->
   phases:(string * float) list ->
   regression option

@@ -82,6 +82,6 @@ val set_gc_gauges : t -> unit
 
 val dump_text : ?prefix:string -> t -> string
 (** One line per metric, sorted by name. With [prefix], only metrics whose
-    name starts with that prefix (e.g. ["executor.par."]). *)
+    name starts with that prefix (e.g. ["executor.spill."]). *)
 
 val to_json : t -> Json.t

@@ -1,12 +1,11 @@
-(* Retained plan-node and worker-domain profiles — the accumulator behind
-   the perm_stat_plans and perm_stat_workers system views.
+(* Retained plan-node profiles — the accumulator behind the
+   perm_stat_plans system view.
 
-   Plan profiles are keyed by (statement fingerprint, node id): the engine
+   Profiles are keyed by (statement fingerprint, node id): the engine
    assigns stable pre-order ids over the optimized plan, so repeated
    executions of the same statement shape fold into one row per operator.
-   Worker profiles are keyed by domain index and accumulate across every
-   parallel batch the session ran. Both stores are string/int keyed so
-   this module stays independent of the algebra. *)
+   The store is string/int keyed so this module stays independent of the
+   algebra. *)
 
 type plan_node = {
   pn_fingerprint : string;
@@ -19,32 +18,16 @@ type plan_node = {
   mutable pn_peak_bytes : int;  (* peak batch memory estimate, max *)
 }
 
-type worker = {
-  wk_domain : int;  (* 0 = the calling domain *)
-  mutable wk_morsels : int;
-  mutable wk_busy_ms : float;
-  mutable wk_idle_ms : float;
-  mutable wk_rows : int;
-  mutable wk_max_skew : float;
-      (* max over batches of busy_ms / mean busy_ms of that batch *)
-}
+type t = (string * int, plan_node) Hashtbl.t
 
-type t = {
-  plans : (string * int, plan_node) Hashtbl.t;
-  workers : (int, worker) Hashtbl.t;
-}
-
-let create () = { plans = Hashtbl.create 64; workers = Hashtbl.create 8 }
-
-let reset t =
-  Hashtbl.reset t.plans;
-  Hashtbl.reset t.workers
+let create () : t = Hashtbl.create 64
+let reset t = Hashtbl.reset t
 
 let record_plan_node t ~fingerprint ~node ~operator ~est_rows ~act_rows
     ~self_ms ~loops ~peak_bytes =
   let key = (fingerprint, node) in
   let pn =
-    match Hashtbl.find_opt t.plans key with
+    match Hashtbl.find_opt t key with
     | Some pn -> pn
     | None ->
       let pn =
@@ -59,7 +42,7 @@ let record_plan_node t ~fingerprint ~node ~operator ~est_rows ~act_rows
           pn_peak_bytes = 0;
         }
       in
-      Hashtbl.replace t.plans key pn;
+      Hashtbl.replace t key pn;
       pn
   in
   pn.pn_est_rows <- est_rows;
@@ -68,39 +51,11 @@ let record_plan_node t ~fingerprint ~node ~operator ~est_rows ~act_rows
   pn.pn_loops <- pn.pn_loops + loops;
   if peak_bytes > pn.pn_peak_bytes then pn.pn_peak_bytes <- peak_bytes
 
-let record_worker t ~domain ~morsels ~busy_ms ~idle_ms ~rows ~skew =
-  let wk =
-    match Hashtbl.find_opt t.workers domain with
-    | Some wk -> wk
-    | None ->
-      let wk =
-        {
-          wk_domain = domain;
-          wk_morsels = 0;
-          wk_busy_ms = 0.;
-          wk_idle_ms = 0.;
-          wk_rows = 0;
-          wk_max_skew = 0.;
-        }
-      in
-      Hashtbl.replace t.workers domain wk;
-      wk
-  in
-  wk.wk_morsels <- wk.wk_morsels + morsels;
-  wk.wk_busy_ms <- wk.wk_busy_ms +. busy_ms;
-  wk.wk_idle_ms <- wk.wk_idle_ms +. idle_ms;
-  wk.wk_rows <- wk.wk_rows + rows;
-  if skew > wk.wk_max_skew then wk.wk_max_skew <- skew
-
 (* Fingerprint order, then tree order — the natural reading order of the
    perm_stat_plans view. *)
 let plan_nodes t =
-  Hashtbl.fold (fun _ pn acc -> pn :: acc) t.plans []
+  Hashtbl.fold (fun _ pn acc -> pn :: acc) t []
   |> List.sort (fun a b ->
          match compare a.pn_fingerprint b.pn_fingerprint with
          | 0 -> compare a.pn_node b.pn_node
          | c -> c)
-
-let workers t =
-  Hashtbl.fold (fun _ wk acc -> wk :: acc) t.workers []
-  |> List.sort (fun a b -> compare a.wk_domain b.wk_domain)

@@ -1,10 +1,9 @@
-(** Retained plan-node and worker-domain profiles.
+(** Retained plan-node profiles.
 
-    The accumulator behind the [perm_stat_plans] and [perm_stat_workers]
-    system views: per-(fingerprint, node id) operator cardinality/time
-    profiles fed by the executor's plan-node profiler, and per-domain
-    morsel/busy/idle/skew counters fed by the worker pool. Keys are plain
-    strings and ints so the module has no dependency on the algebra. *)
+    The accumulator behind the [perm_stat_plans] system view:
+    per-(fingerprint, node id) operator cardinality/time profiles fed by
+    the executor's plan-node profiler. Keys are plain strings and ints so
+    the module has no dependency on the algebra. *)
 
 type plan_node = {
   pn_fingerprint : string;  (** statement fingerprint the plan belongs to *)
@@ -12,24 +11,11 @@ type plan_node = {
   pn_operator : string;  (** [Plan.operator_name] of the node *)
   mutable pn_est_rows : float;  (** planner estimate (latest execution) *)
   mutable pn_act_rows : int;  (** actual rows out, summed over executions *)
-  mutable pn_self_ms : float;
-      (** self wall-time, exclusive of children (serial profiler only;
-          0 for rows profiled on the parallel path) *)
+  mutable pn_self_ms : float;  (** self wall-time, exclusive of children *)
   mutable pn_loops : int;  (** operator (re)invocations *)
   mutable pn_peak_bytes : int;
       (** peak batch memory estimate: max rows streamed through one
           invocation times an estimated row width *)
-}
-
-type worker = {
-  wk_domain : int;  (** 0 is the calling domain *)
-  mutable wk_morsels : int;
-  mutable wk_busy_ms : float;
-  mutable wk_idle_ms : float;
-  mutable wk_rows : int;
-  mutable wk_max_skew : float;
-      (** max over batches of this worker's busy time over the batch's
-          mean busy time; 1.0 = perfectly balanced *)
 }
 
 type t
@@ -49,18 +35,5 @@ val record_plan_node :
   peak_bytes:int ->
   unit
 
-val record_worker :
-  t ->
-  domain:int ->
-  morsels:int ->
-  busy_ms:float ->
-  idle_ms:float ->
-  rows:int ->
-  skew:float ->
-  unit
-
 val plan_nodes : t -> plan_node list
 (** Sorted by fingerprint, then node id (tree pre-order). *)
-
-val workers : t -> worker list
-(** Sorted by domain index. *)

@@ -28,7 +28,6 @@ type payload =
   | Fault of { point : string }
   | Governor of { verdict : string; detail : string }
   | Watchdog of { fingerprint : string; factor : float; cause : string }
-  | Degraded of { reason : string }
   | Note of { tag : string; detail : string }
 
 type event = { ev_seq : int; ev_ts : float; ev_payload : payload }
@@ -121,7 +120,6 @@ let payload_kind = function
   | Fault _ -> "fault"
   | Governor _ -> "governor"
   | Watchdog _ -> "watchdog"
-  | Degraded _ -> "degraded"
   | Note _ -> "note"
 
 let payload_fields = function
@@ -170,7 +168,6 @@ let payload_fields = function
       ("factor", Json.Float factor);
       ("cause", Json.String cause);
     ]
-  | Degraded { reason } -> [ ("reason", Json.String reason) ]
   | Note { tag; detail } ->
     [ ("tag", Json.String tag); ("detail", Json.String detail) ]
 

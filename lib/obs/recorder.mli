@@ -3,7 +3,7 @@
     Every subsystem milestone worth a post-mortem — statement lifecycle,
     plan-node cardinalities, WAL appends/fsyncs/checkpoints/replays, spill
     runs and fallbacks, GC major slices, fault firings, governor verdicts,
-    watchdog flags, parallel degradations — lands here as a structured
+    watchdog flags — lands here as a structured
     payload, not a formatted string. When the engine detects an anomaly it
     snapshots the tail of this ring into the forensics bundle, so the
     bundle shows what the whole system was doing in the run-up, not just
@@ -35,7 +35,7 @@ type payload =
       operator : string;
       est_rows : float;
       act_rows : int;
-    }  (** recorded on the profiled paths (instrumented serial, parallel) *)
+    }  (** recorded on the profiled (instrumented) path *)
   | Wal_append of { frame : string }  (** frame label: ["begin"], ["insert"], … *)
   | Wal_fsync of { fsyncs : int }  (** total fsyncs after this one *)
   | Wal_checkpoint of { epoch : int; ok : bool }
@@ -55,7 +55,6 @@ type payload =
       (** [verdict] is the kill kind label: ["timeout"], ["cancelled"],
           ["resource_exhausted"] *)
   | Watchdog of { fingerprint : string; factor : float; cause : string }
-  | Degraded of { reason : string }  (** parallel plan re-run serially *)
   | Note of { tag : string; detail : string }  (** escape hatch *)
 
 type event = {

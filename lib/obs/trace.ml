@@ -6,11 +6,7 @@ type span = {
   mutable sp_dur : float;  (* seconds; negative while the span is open *)
   mutable sp_children : span list;  (* reverse completion order *)
   mutable sp_attrs : (string * string) list;  (* reverse order *)
-  mutable sp_lane : int;  (* Chrome-trace tid; 1 = the engine lane *)
 }
-
-let engine_lane = 1
-let worker_lane i = i + 2
 
 let start name =
   {
@@ -19,7 +15,6 @@ let start name =
     sp_dur = -1.;
     sp_children = [];
     sp_attrs = [];
-    sp_lane = engine_lane;
   }
 
 let finish sp = if sp.sp_dur < 0. then sp.sp_dur <- now () -. sp.sp_start
@@ -32,25 +27,6 @@ let child parent name =
   sp
 
 let annotate sp key value = sp.sp_attrs <- (key, value) :: sp.sp_attrs
-
-let set_lane sp lane = sp.sp_lane <- lane
-let lane sp = sp.sp_lane
-
-(* A pre-measured interval (e.g. a morsel slice recorded by a worker
-   domain): attached finished, on the given lane. *)
-let add_slice parent name ~start_s ~dur_s ~lane attrs =
-  let sp =
-    {
-      sp_name = name;
-      sp_start = start_s;
-      sp_dur = Float.max 0. dur_s;
-      sp_children = [];
-      sp_attrs = List.rev attrs;
-      sp_lane = lane;
-    }
-  in
-  attach parent sp;
-  sp
 
 let timed parent name f =
   let sp = child parent name in
@@ -110,11 +86,9 @@ let rec to_json sp =
 
 (* Chrome trace-event format (the about://tracing / Perfetto JSON array
    flavor): one "X" (complete) event per span, timestamps in microseconds
-   relative to the earliest root so the viewer opens near t=0. Each span
-   renders on its own lane (tid): lane 1 is the engine's statement
-   pipeline, lanes 2+ are worker domains carrying morsel slices, so
-   parallel fan-out shows up as stacked per-worker tracks. A thread_name
-   metadata event labels every lane present. *)
+   relative to the earliest root so the viewer opens near t=0. Every span
+   renders on one lane (tid 1), labelled "engine" by a thread_name
+   metadata event. *)
 let to_chrome_json roots =
   let epoch =
     List.fold_left
@@ -123,9 +97,7 @@ let to_chrome_json roots =
   in
   let epoch = if Float.is_finite epoch then epoch else 0. in
   let events = ref [] in
-  let lanes = ref [] in
   let emit sp =
-    if not (List.mem sp.sp_lane !lanes) then lanes := sp.sp_lane :: !lanes;
     let args =
       match attrs sp with
       | [] -> []
@@ -140,28 +112,25 @@ let to_chrome_json roots =
            ("ts", Json.Float ((sp.sp_start -. epoch) *. 1e6));
            ("dur", Json.Float (duration_ms sp *. 1e3));
            ("pid", Json.Int 1);
-           ("tid", Json.Int sp.sp_lane);
+           ("tid", Json.Int 1);
          ]
         @ args)
       :: !events
   in
   List.iter (iter emit) roots;
   let lane_meta =
-    List.map
-      (fun lane ->
-        let label =
-          if lane = engine_lane then "engine"
-          else Printf.sprintf "worker %d" (lane - 2)
-        in
+    if !events = [] then []
+    else
+      [
         Json.Obj
           [
             ("name", Json.String "thread_name");
             ("ph", Json.String "M");
             ("pid", Json.Int 1);
-            ("tid", Json.Int lane);
-            ("args", Json.Obj [ ("name", Json.String label) ]);
-          ])
-      (List.sort compare !lanes)
+            ("tid", Json.Int 1);
+            ("args", Json.Obj [ ("name", Json.String "engine") ]);
+          ];
+      ]
   in
   Json.Obj
     [

@@ -28,35 +28,6 @@ val child : span -> string -> span
 val attach : span -> span -> unit
 val annotate : span -> string -> string -> unit
 
-(** {2 Lanes}
-
-    Every span carries a {e lane} — the Chrome-trace [tid] it renders on.
-    Lane {!engine_lane} (the default) is the engine's statement pipeline;
-    {!worker_lane}[ i] is worker domain [i]'s track, so parallel morsel
-    slices appear as per-worker swimlanes in the exported trace. *)
-
-val engine_lane : int
-(** Lane 1: the serial statement pipeline. *)
-
-val worker_lane : int -> int
-(** [worker_lane i] is the lane of worker domain [i] (0-based; worker 0 is
-    the calling domain). *)
-
-val set_lane : span -> int -> unit
-val lane : span -> int
-
-val add_slice :
-  span ->
-  string ->
-  start_s:float ->
-  dur_s:float ->
-  lane:int ->
-  (string * string) list ->
-  span
-(** Attach a pre-measured, already-finished interval under [parent] on the
-    given lane — how per-morsel worker timings recorded off-thread enter
-    the span tree after the batch completes. *)
-
 val timed : span -> string -> (unit -> 'a) -> 'a
 (** [timed parent name f] runs [f] inside a fresh child span, finishing it
     even when [f] raises. *)
@@ -87,6 +58,5 @@ val to_chrome_json : span list -> Json.t
 (** Render finished root spans in Chrome trace-event format (an object
     with a ["traceEvents"] array of "X" complete events, timestamps in
     microseconds relative to the earliest root) — loadable in
-    about://tracing or Perfetto. Each span renders on its lane's [tid];
-    one [thread_name] metadata event labels every lane present ("engine",
-    "worker 0", "worker 1", ...). *)
+    about://tracing or Perfetto. Every span renders on [tid] 1, which a
+    [thread_name] metadata event labels "engine". *)

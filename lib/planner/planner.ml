@@ -753,96 +753,3 @@ let optimize ?(config = default_config) stats plan =
   in
   let plan = if config.use_indexes then select_indexes stats plan else plan in
   plan
-
-(* ------------------------------------------------------------------ *)
-(* Parallel eligibility                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Decide whether the executor's morsel-driven parallel mode should even be
-   attempted for [plan]. This mirrors the plan shapes [Executor.Par]
-   accepts — scan/filter/project spines, hash-join probes with a serial
-   build side, mergeable partitioned pre-aggregation, and serial
-   Sort/Limit/Project tails — plus a cardinality threshold from the
-   existing [stats]: below it, pool fan-out costs more than it saves.
-
-   This is a *decision*, not a proof: the executor re-derives eligibility
-   when it compiles the fragment and silently falls back to the serial
-   closures on any mismatch, so correctness never depends on the mirror
-   staying in sync. *)
-
-type par_verdict =
-  | Par_ok of { par_table : string; par_est_rows : int }
-      (** driving base relation of the morsel scan + its cardinality *)
-  | Par_fallback of string  (** reason slug, e.g. "small", "apply", "shape" *)
-
-let default_parallel_threshold = 2048
-
-(* Aggregate calls whose per-morsel partial states merge bit-identically:
-   no DISTINCT (needs a cross-partition seen-set) and no float Sum/Avg
-   (float addition is not associative). Mirrors [Executor.Par.mergeable_agg]. *)
-let par_mergeable_agg (c : Plan.agg_call) =
-  (not c.distinct)
-  &&
-  match c.agg with
-  | Plan.Count_star | Plan.Count | Plan.Min | Plan.Max | Plan.Bool_and
-  | Plan.Bool_or ->
-    true
-  | Plan.Sum | Plan.Avg -> (
-    match c.arg with
-    | Some (Expr.Attr a) -> Perm_value.Dtype.equal a.Attr.ty Perm_value.Dtype.Int
-    | Some (Expr.Const (Value.Int _)) -> true
-    | _ -> false)
-
-let rec par_spine (stats : stats) (plan : Plan.t) :
-    (string * int, string) result =
-  match plan with
-  | Plan.Scan { table; _ } -> Ok (table, stats.table_rows table)
-  | Plan.Baserel { child; _ } | Plan.External { child; _ }
-  | Plan.Filter { child; _ } | Plan.Project { child; _ } ->
-    par_spine stats child
-  | Plan.Join { kind = Plan.Inner | Plan.Cross | Plan.Left | Plan.Semi | Plan.Anti;
-                left; _ } ->
-    (* the right side builds serially whatever its shape, so only the
-       probe (left) side constrains eligibility *)
-    par_spine stats left
-  | Plan.Join _ -> Error "outer-join"
-  | Plan.Apply _ -> Error "apply"
-  | Plan.Index_scan _ -> Error "index-scan"
-  | Plan.Values _ -> Error "values"
-  | Plan.Aggregate _ | Plan.Distinct _ | Plan.Set_op _ | Plan.Sort _
-  | Plan.Limit _ | Plan.Prov _ ->
-    Error "shape"
-
-let rec par_core (stats : stats) (plan : Plan.t) =
-  match plan with
-  | Plan.Aggregate { child; aggs; _ } ->
-    if List.for_all par_mergeable_agg aggs then par_spine stats child
-    else Error "agg"
-  | Plan.Sort { child; _ } | Plan.Limit { child; _ } ->
-    (* serial tails over a parallel core *)
-    par_core stats child
-  | Plan.Project { child; _ } -> (
-    match par_spine stats plan with
-    | Ok _ as ok -> ok
-    | Error _ -> par_core stats child)
-  | _ -> par_spine stats plan
-
-let parallel_verdict ?(threshold = default_parallel_threshold) (stats : stats)
-    (plan : Plan.t) =
-  match par_core stats plan with
-  | Error reason -> Par_fallback reason
-  | Ok (table, rows) ->
-    if rows < threshold then Par_fallback "small"
-    else Par_ok { par_table = table; par_est_rows = rows }
-
-(* Morsel sizing for the batch-at-a-time parallel path. A morsel is the
-   unit of work-stealing; a batch is the unit of kernel execution. Making
-   the morsel a whole multiple of [batch_rows] means workers never slice
-   ragged sub-batches mid-morsel, and targeting ~4 morsels per domain
-   keeps the claim counter warm without starving the tail. *)
-let choose_morsel_rows ~batch_rows ~driving_rows ~domains =
-  let batch_rows = max 1 batch_rows in
-  let domains = max 1 domains in
-  let target = max batch_rows (driving_rows / (4 * domains)) in
-  let batches = (target + batch_rows - 1) / batch_rows in
-  batches * batch_rows

@@ -81,30 +81,3 @@ val disabled_config : config
 val optimize : ?config:config -> stats -> Perm_algebra.Plan.t -> Perm_algebra.Plan.t
 (** Semantics-preserving (pinned by qcheck equivalence properties in the
     test suite). Plans must be marker-free. *)
-
-(** {1 Parallel eligibility}
-
-    Decision support for the executor's morsel-driven parallel mode: a
-    mirror of the plan shapes [Executor.Par] accepts, plus a cardinality
-    threshold from {!stats}. The executor independently re-checks shape
-    when compiling and falls back to serial closures on any mismatch, so
-    correctness never depends on this mirror staying in sync. *)
-
-type par_verdict =
-  | Par_ok of { par_table : string; par_est_rows : int }
-      (** driving base relation of the morsel scan + its estimated rows *)
-  | Par_fallback of string
-      (** reason slug: ["small"], ["apply"], ["outer-join"], ["agg"],
-          ["index-scan"], ["values"], ["shape"] *)
-
-val default_parallel_threshold : int
-(** Minimum driving-table cardinality worth a pool fan-out (2048). *)
-
-val parallel_verdict :
-  ?threshold:int -> stats -> Perm_algebra.Plan.t -> par_verdict
-
-val choose_morsel_rows :
-  batch_rows:int -> driving_rows:int -> domains:int -> int
-(** Morsel size for the batch-at-a-time parallel path: a whole multiple
-    of [batch_rows] targeting ~4 morsels per domain over the driving
-    relation, never smaller than one batch. *)

@@ -1,10 +1,10 @@
 (* Graceful spill-to-disk for memory-hungry operators.
 
    When the governor's tuple budget would otherwise kill a statement, the
-   executor's serial row path degrades instead: sort materializations
-   become external merge sorts and hash-join build sides are split into
+   executor's row path degrades instead: sort materializations become
+   external merge sorts and hash-join build sides are split into
    budget-sized chunks, both backed by temp files created here. The batch
-   and parallel paths do not spill themselves — they raise
+   path does not spill itself — it raises
    {!Fallback_needed} and the engine re-runs the statement on the spilling
    row path (counted by the [fallbacks] counter).
 
@@ -19,8 +19,8 @@ type config = {
 }
 
 exception Fallback_needed of string
-(** Raised by the batch/parallel paths when a materialization exceeds
-    [threshold]: the engine catches it and retries on the serial row path,
+(** Raised by the batch path when a materialization exceeds
+    [threshold]: the engine catches it and retries on the row path,
     which spills instead of raising. *)
 
 (* ---- process-global accounting ----------------------------------- *)
@@ -30,7 +30,7 @@ let n_runs = Atomic.make 0 (* external-sort run files *)
 let n_chunks = Atomic.make 0 (* join build chunks *)
 let n_rows = Atomic.make 0 (* values written to spill files *)
 let n_bytes = Atomic.make 0 (* bytes written to spill files *)
-let n_fallbacks = Atomic.make 0 (* batch/parallel plans re-run on the row path *)
+let n_fallbacks = Atomic.make 0 (* batch plans re-run on the row path *)
 
 type counters = {
   c_spills : int;
@@ -54,7 +54,7 @@ let counters () =
 (* Optional process-global event tap: the engine's flight recorder hooks
    in here so spill milestones land in the forensics event ring as they
    happen, not just as end-of-statement counter deltas. The callback must
-   be cheap and domain-safe (spill notes fire from worker domains). *)
+   be cheap and domain-safe (spill notes fire on the executing domain). *)
 let observer : (string -> string -> unit) option Atomic.t = Atomic.make None
 
 let set_observer f = Atomic.set observer f

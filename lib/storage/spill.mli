@@ -1,9 +1,9 @@
 (** Graceful spill-to-disk for memory-hungry operators.
 
     When the governor's tuple budget would otherwise kill a statement, the
-    executor's serial row path degrades gracefully: sorts become external
+    executor's row path degrades gracefully: sorts become external
     merge sorts and hash-join build sides are chunked, both backed by temp
-    files created here. The batch and parallel paths raise
+    files created here. The batch path raises
     {!Fallback_needed} instead; the engine re-runs the plan on the
     spilling row path. *)
 
@@ -13,7 +13,7 @@ type config = {
 }
 
 exception Fallback_needed of string
-(** Raised by the batch/parallel paths when a materialization exceeds
+(** Raised by the batch path when a materialization exceeds
     [threshold]; the engine catches it and retries on the row path. *)
 
 (** {1 Process-global accounting} — the [executor.spill.*] metric family *)
@@ -24,7 +24,7 @@ type counters = {
   c_chunks : int;  (** join build chunks *)
   c_rows : int;  (** values written to spill files *)
   c_bytes : int;  (** bytes written to spill files *)
-  c_fallbacks : int;  (** batch/parallel plans re-run on the row path *)
+  c_fallbacks : int;  (** batch plans re-run on the row path *)
 }
 
 val counters : unit -> counters

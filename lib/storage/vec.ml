@@ -72,15 +72,6 @@ let sub t pos len =
     invalid_arg "Vec.sub: range out of bounds";
   Array.sub t.data pos len
 
-(* Fixed-size slices in element order: the morsels of morsel-driven
-   execution. The final chunk may be short; an empty vector has none. *)
-let chunks t ~size =
-  if size <= 0 then invalid_arg "Vec.chunks: size must be positive";
-  let n = (t.len + size - 1) / size in
-  Array.init n (fun i ->
-      let pos = i * size in
-      Array.sub t.data pos (min size (t.len - pos)))
-
 let of_list l =
   let t = create () in
   List.iter (push t) l;

@@ -28,11 +28,6 @@ val to_list : 'a t -> 'a list
     @raise Invalid_argument when the range is out of bounds. *)
 val sub : 'a t -> int -> int -> 'a array
 
-(** Fixed-size slices in element order — the morsels of morsel-driven
-    parallel execution. The final chunk may be short; an empty vector has
-    no chunks. Concatenating the chunks reproduces the vector.
-    @raise Invalid_argument when [size <= 0]. *)
-val chunks : 'a t -> size:int -> 'a array array
 val of_list : 'a list -> 'a t
 val to_seq : 'a t -> 'a Seq.t
 (** The sequence is evaluated lazily against the live vector; elements

@@ -1,15 +1,14 @@
 (* Chaos suite: deterministic fault injection against the whole engine.
 
    Invariant under ANY injection schedule: [Engine.execute_err] returns
-   [Error _] — it never raises, never wedges a worker domain, never
-   leaves the pool unusable — and data that was reported committed is
-   still there (and uncommitted data is not) once the faults stop.
+   [Error _] — it never raises and never leaves the session unusable —
+   and data that was reported committed is still there (and uncommitted
+   data is not) once the faults stop.
 
    The schedule is deterministic in the seed: CI runs this binary across
-   several PERM_FAULT seeds and PERM_PARALLEL domain counts. *)
+   several PERM_FAULT seeds. *)
 
 module Engine = Perm_engine.Engine
-module Metrics = Perm_obs.Metrics
 module Err = Perm_err
 module Fault = Perm_fault
 open Perm_testkit.Kit
@@ -19,25 +18,14 @@ let seed =
   | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 42)
   | None -> 42
 
-let domains =
-  match Sys.getenv_opt "PERM_PARALLEL" with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 2)
-  | None -> 2
-
-let go_parallel e =
-  Engine.set_parallel e (Engine.Par_domains domains);
-  Engine.set_parallel_threshold e 1;
-  Engine.set_morsel_rows e 16
-
 let chaos_engine () =
   let e = engine () in
   Perm_workload.Forum.load_scaled e ~messages:200 ~users:10 ();
-  go_parallel e;
   Fault.reset ();
   Fault.set_seed seed;
   e
 
-(* Every registered injection point, spanning storage, executor, pool and
+(* Every registered injection point, spanning storage, executor and
    engine layers. Keep in sync with the [Perm_fault.point] call sites. *)
 let all_points =
   [
@@ -46,12 +34,11 @@ let all_points =
     "join.build";
     "agg.merge";
     "sort.materialize";
-    "pool.dispatch";
     "engine.commit";
   ]
 
 (* Statements covering every injection point: scans, a hash join build,
-   partitioned aggregation, a sort, parallel fan-out, DML and a
+   aggregation, a sort, DML and a
    BEGIN/INSERT/COMMIT transaction. *)
 let battery_queries =
   [
@@ -95,8 +82,8 @@ let run_battery e =
     Alcotest.failf "COMMIT raised %s under injection" (Printexc.to_string exn));
   !errors
 
-(* After disarming, the engine must be fully functional: queries succeed,
-   the pool answers parallel work, no rows leaked from the battery. *)
+(* After disarming, the engine must be fully functional: queries succeed
+   and no rows leaked from the battery. *)
 let check_recovered e =
   Fault.reset ();
   (* a faulted DELETE may have left the battery's scratch row behind —
@@ -105,10 +92,7 @@ let check_recovered e =
   ignore (exec_ok e "DELETE FROM messages WHERE mid = 9999");
   check_count e "SELECT * FROM messages WHERE mid = 9999" 0;
   ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
-  ignore (query_ok e "SELECT uid, count(*) FROM messages GROUP BY uid");
-  if Engine.pool_size e > 0 then
-    Alcotest.(check int) "no leaked or dead worker domains" domains
-      (Engine.pool_size e)
+  ignore (query_ok e "SELECT uid, count(*) FROM messages GROUP BY uid")
 
 let suite_points =
   List.map
@@ -122,12 +106,8 @@ let suite_points =
             (Printf.sprintf "point %s was exercised" point)
             true
             (Fault.injections () > 0);
-          (* pool.dispatch degrades to a serial retry, so its battery can
-             finish with zero user-visible errors — every other point must
-             surface at least one Error *)
-          if point <> "pool.dispatch" then
-            Alcotest.(check bool) "at least one statement failed" true
-              (errors >= 1);
+          Alcotest.(check bool) "at least one statement failed" true
+            (errors >= 1);
           check_recovered e;
           Engine.close e))
     all_points
@@ -143,17 +123,6 @@ let suite_sweep =
         done;
         Alcotest.(check bool) "faults actually fired" true
           (Fault.injections () > 0);
-        check_recovered e;
-        Engine.close e);
-    case "degraded parallel retries are visible in metrics" (fun () ->
-        let e = chaos_engine () in
-        Fault.set "pool.dispatch" 1.0;
-        ignore (run_battery e);
-        Alcotest.(check bool) "executor.par.degraded counted" true
-          (Metrics.counter (Engine.metrics e) "executor.par.degraded" >= 1);
-        Alcotest.(check bool) "fault.injected.pool.dispatch counted" true
-          (Metrics.counter (Engine.metrics e) "fault.injected.pool.dispatch"
-           >= 1);
         check_recovered e;
         Engine.close e);
   ]
@@ -219,7 +188,6 @@ let suite_determinism =
         let outcomes () =
           let e = engine () in
           Perm_workload.Forum.load_scaled e ~messages:100 ~users:5 ();
-          Engine.set_parallel e Engine.Par_off;
           Fault.reset ();
           Fault.set_seed seed;
           List.iter (fun p -> Fault.set p 0.3) all_points;
@@ -273,7 +241,6 @@ let suite_batch =
         let outcomes ~vectorized ~batch_rows =
           let e = engine () in
           Perm_workload.Forum.load_scaled e ~messages:100 ~users:5 ();
-          Engine.set_parallel e Engine.Par_off;
           Engine.set_vectorized e vectorized;
           Engine.set_batch_rows e batch_rows;
           Fault.reset ();
@@ -303,7 +270,6 @@ let suite_batch =
       (fun () ->
         let e = engine () in
         Perm_workload.Forum.load_scaled e ~messages:400 ~users:3 ();
-        Engine.set_parallel e Engine.Par_off;
         Engine.set_vectorized e true;
         Engine.set_batch_rows e 64;
         expect_timeout e ~bound_ms:250.
@@ -311,20 +277,6 @@ let suite_batch =
            messages m3";
         (* session still healthy on the same path *)
         ignore (query_ok e "SELECT count(*) FROM messages"));
-    case "timeout on the parallel batch path: pool drains and survives"
-      (fun () ->
-        let e = engine () in
-        Perm_workload.Forum.load_scaled e ~messages:3000 ~users:3 ();
-        go_parallel e;
-        Engine.set_vectorized e true;
-        Engine.set_batch_rows e 64;
-        expect_timeout e ~bound_ms:400.
-          "SELECT PROVENANCE m1.text, m2.text FROM messages m1, messages m2 \
-           WHERE m1.uid = m2.uid";
-        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
-        Alcotest.(check int) "pool reused after the kill" domains
-          (Engine.pool_size e);
-        Engine.close e);
   ]
 
 let () =

@@ -165,6 +165,66 @@ let test_failed_update_changes_nothing () =
   Engine.close e2;
   rm_rf dir
 
+(* Rows holding NaN. Under SQL equality NaN <> NaN, but DELETE and UPDATE
+   must still remove the very row their predicate selected. *)
+let nan_session dir =
+  let e = engine () in
+  (match Engine.enable_wal e dir with
+  | Ok _ -> ()
+  | Error err -> Alcotest.failf "enable_wal: %s" (Err.to_string err));
+  exec_all e
+    [
+      "CREATE TABLE t (k INTEGER, x FLOAT);";
+      "INSERT INTO t VALUES (1, CAST('NaN' AS FLOAT)), (2, 0.5);";
+    ];
+  e
+
+let nan_rows e = strings_of_rows (query_ok e "SELECT k, x FROM t;").Engine.rows
+
+let expect_affected what e sql n =
+  match exec_ok e sql with
+  | Engine.Affected m -> Alcotest.(check int) what n m
+  | _ -> Alcotest.failf "%s did not report a row count" sql
+
+let with_nan_session f =
+  let dir = temp_dir "perm_dml_nan" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir (nan_session dir))
+
+let test_nan_delete () =
+  with_nan_session @@ fun _ e ->
+  let survivor = List.filter (fun r -> List.hd r = "2") (nan_rows e) in
+  expect_affected "rows deleted" e "DELETE FROM t WHERE k = 1;" 1;
+  Alcotest.(check rows_testable) "the NaN row is gone" survivor (nan_rows e);
+  Engine.close e
+
+let test_nan_update () =
+  with_nan_session @@ fun _ e ->
+  let nan = List.nth (List.hd (List.filter (fun r -> List.hd r = "1") (nan_rows e))) 1 in
+  expect_affected "rows updated" e "UPDATE t SET k = 3 WHERE k = 1;" 1;
+  Alcotest.(check rows_testable) "old image replaced, not kept"
+    [ [ "2"; "0.5" ]; [ "3"; nan ] ]
+    (nan_rows e);
+  Engine.close e
+
+let test_nan_reopen () =
+  with_nan_session @@ fun dir e ->
+  exec_all e
+    [
+      "INSERT INTO t VALUES (4, CAST('NaN' AS FLOAT));";
+      "UPDATE t SET k = 3 WHERE k = 1;";
+      "DELETE FROM t WHERE k = 4;";
+    ];
+  let rows = nan_rows e in
+  Alcotest.(check int) "one NaN row left" 2 (List.length rows);
+  Engine.close e;
+  let e2 = engine () in
+  (match Engine.enable_wal e2 dir with
+  | Ok _ -> ()
+  | Error err -> Alcotest.failf "reopen: %s" (Err.to_string err));
+  Alcotest.(check rows_testable) "the log alone rebuilds the table" rows
+    (nan_rows e2);
+  Engine.close e2
+
 let () =
   Alcotest.run "dml"
     [
@@ -173,5 +233,11 @@ let () =
           case "random DELETE/UPDATE equal the full rebuild" test_random_dml;
           case "failed UPDATE leaves heap and log unchanged"
             test_failed_update_changes_nothing;
+        ] );
+      ( "nan",
+        [
+          case "DELETE removes a row holding NaN" test_nan_delete;
+          case "UPDATE replaces a row holding NaN" test_nan_update;
+          case "a reopen replays DML on NaN rows" test_nan_reopen;
         ] );
     ]

@@ -2,7 +2,7 @@
 
    Acceptance bar: every anomaly class the engine knows — typed error,
    timeout, manual cancel, resource exhaustion, injected fault, watchdog
-   regression, parallel-to-serial degradation and startup WAL replay —
+   regression and startup WAL replay —
    must produce a bundle that {!Perm_obs.Bundle_schema} accepts, with the
    class the scenario expects. Plus the recorder ring's own invariants
    (wait-free wrap-around, resize, disable) and the bundle store's
@@ -39,11 +39,6 @@ let forum_scaled ?(messages = 300) ?(users = 3) () =
   let e = engine () in
   Perm_workload.Forum.load_scaled e ~messages ~users ();
   e
-
-let go_parallel e =
-  Engine.set_parallel e (Engine.Par_domains 2);
-  Engine.set_parallel_threshold e 1;
-  Engine.set_morsel_rows e 64
 
 (* The shared assertion: the newest bundle exists, validates against the
    schema, and carries the class the scenario was built to produce. *)
@@ -228,19 +223,6 @@ let suite_classes =
         let s = check_last_bundle e "regression" in
         Alcotest.(check bool) "detail attributes the cause" true
           (contains ~needle:"plan" s.Engine.Forensics.fs_detail);
-        Engine.close e);
-    case "degraded: poisoned parallel run captures a degraded bundle"
-      (fun () ->
-        let e = forum_scaled () in
-        go_parallel e;
-        Fault.set "pool.dispatch" 1.0;
-        (* the statement still succeeds — on the serial retry — so only
-           the forensics plane knows anything went wrong *)
-        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
-        Fault.reset ();
-        let s = check_last_bundle e "degraded" in
-        Alcotest.(check bool) "detail names the degradation" true
-          (contains ~needle:"serial" s.Engine.Forensics.fs_detail);
         Engine.close e);
     case "wal_replay: startup recovery captures a wal_replay bundle"
       (fun () ->

@@ -32,14 +32,14 @@ let ok_or_fail what = function
 let test_render_basics () =
   let m = Metrics.create () in
   Metrics.incr ~by:3 m "engine.statements";
-  Metrics.set_gauge m "executor.par.skew" 1.25;
+  Metrics.set_gauge m "history.bytes" 1.25;
   let text = Prometheus.render_metrics m in
   Alcotest.(check bool) "counter sample"
     true (contains ~needle:"perm_engine_statements_total 3" text);
   Alcotest.(check bool) "counter TYPE line"
     true (contains ~needle:"# TYPE perm_engine_statements counter" text);
   Alcotest.(check bool) "gauge sample"
-    true (contains ~needle:"perm_executor_par_skew 1.25" text);
+    true (contains ~needle:"perm_history_bytes 1.25" text);
   let n = ok_or_fail "validate" (Prometheus.validate text) in
   Alcotest.(check int) "two samples" 2 n
 

@@ -1,27 +1,16 @@
 (* Robustness: the typed error taxonomy, the resource governor
    (statement_timeout / row_limit / tuple_budget / manual cancel) and
-   graceful degradation of the parallel executor.
+   error isolation inside transactions.
 
    The governor acceptance bar: an armed statement_timeout must kill a
-   long provenance self-join within 2x the configured bound, in serial
-   AND parallel execution, with the kill visible as a typed [Timeout]
-   error, an [engine.timeout] counter, and a pool that stays reusable. *)
+   long cross product and a long provenance hash self-join within 2x the
+   configured bound, with the kill visible as a typed [Timeout] error and
+   an [engine.timeout] counter, and the session usable afterwards. *)
 
 module Engine = Perm_engine.Engine
 module Metrics = Perm_obs.Metrics
 module Err = Perm_err
-module Fault = Perm_fault
 open Perm_testkit.Kit
-
-let domains =
-  match Sys.getenv_opt "PERM_PARALLEL" with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 2)
-  | None -> 2
-
-let go_parallel e =
-  Engine.set_parallel e (Engine.Par_domains domains);
-  Engine.set_parallel_threshold e 1;
-  Engine.set_morsel_rows e 64
 
 let kind_testable =
   Alcotest.testable
@@ -48,14 +37,13 @@ let forum_scaled ?(messages = 300) ?(users = 3) () =
   e
 
 (* Expensive equality self-join: with few users every message matches a
-   third of the table, so the probe side grows quadratically — morsel
-   eligible, and far slower than any timeout bound used below. *)
+   third of the table, so the output grows quadratically — a hash join on
+   the batch path, and far slower than any timeout bound used below. *)
 let heavy_join =
   "SELECT PROVENANCE m1.text, m2.text FROM messages m1, messages m2 WHERE \
    m1.uid = m2.uid"
 
-(* Cross product for the serial-only tests (nested loop, not morsel
-   eligible, runs for seconds if never killed). *)
+(* Cross product (nested loop, runs for seconds if never killed). *)
 let heavy_cross =
   "SELECT m1.mid + m2.mid + m3.mid FROM messages m1, messages m2, messages m3"
 
@@ -185,20 +173,13 @@ let suite_governor =
           [ [ "1.0" ] ];
         (* the session is fine afterwards *)
         ignore (query_ok e "SELECT count(*) FROM messages"));
-    case "statement_timeout kills a parallel self-join; pool survives"
+    case "statement_timeout kills a provenance hash self-join within 2x bound"
       (fun () ->
         let e = forum_scaled ~messages:3000 () in
-        go_parallel e;
         expect_timeout e ~bound_ms:400. heavy_join;
         Alcotest.(check bool) "engine.timeout counter" true
           (counter e "engine.timeout" >= 1);
-        Alcotest.(check int) "worker pool was created and survives" domains
-          (Engine.pool_size e);
-        (* the generation drained: the pool still answers parallel queries *)
-        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
-        Alcotest.(check int) "pool reused after the kill" domains
-          (Engine.pool_size e);
-        Engine.close e);
+        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0"));
     case "row_limit kills past the cap with Resource_exhausted" (fun () ->
         let e = forum_scaled () in
         Engine.set_row_limit e 10;
@@ -209,15 +190,15 @@ let suite_governor =
         check_count e "SELECT * FROM messages LIMIT 5" 5;
         Engine.set_row_limit e 0;
         ignore (query_ok e "SELECT * FROM messages"));
-    case "row_limit is enforced on the parallel path too" (fun () ->
+    case "row_limit is enforced on the row path too" (fun () ->
         let e = forum_scaled () in
-        go_parallel e;
+        Engine.set_vectorized e false;
         Engine.set_row_limit e 10;
         check_kind e "SELECT mid, text FROM messages WHERE mid >= 0"
           Err.Resource_exhausted;
+        check_count e "SELECT mid FROM messages WHERE mid >= 0 LIMIT 5" 5;
         Engine.set_row_limit e 0;
-        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
-        Engine.close e);
+        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0"));
     case "tuple_budget kills tuple-hungry statements" (fun () ->
         let e = forum_scaled ~messages:2000 () in
         (* spill off turns the budget back into a hard kill switch *)
@@ -247,28 +228,6 @@ let suite_governor =
 
 let suite_degradation =
   [
-    case "poisoned parallel run degrades to a serial retry" (fun () ->
-        let e = forum_scaled () in
-        go_parallel e;
-        let sql = "SELECT mid, text FROM messages WHERE mid >= 0" in
-        Engine.set_parallel e Engine.Par_off;
-        let expected = strings_of_rows (query_ok e sql).Engine.rows in
-        go_parallel e;
-        Fault.set "pool.dispatch" 1.0;
-        let rows = strings_of_rows (query_ok e sql).Engine.rows in
-        Fault.reset ();
-        Alcotest.(check rows_testable) "serial retry returns the right rows"
-          expected rows;
-        Alcotest.(check bool) "degradation counted" true
-          (counter e "executor.par.degraded" >= 1);
-        Alcotest.(check bool) "fallback.error counted" true
-          (counter e "executor.par.fallback.error" >= 1);
-        Alcotest.(check bool) "injection visible in metrics" true
-          (counter e "fault.injected.pool.dispatch" >= 1);
-        (* the poisoned generation drained; the same pool keeps working *)
-        Alcotest.(check int) "pool intact" domains (Engine.pool_size e);
-        ignore (query_ok e sql);
-        Engine.close e);
     case "failed statement inside a transaction leaves the snapshot intact"
       (fun () ->
         let e = forum_engine () in

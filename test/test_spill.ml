@@ -2,8 +2,8 @@
    tuple budget and spill is on (the default), hash-join builds go
    through chunked disk partitions and sort materializations through an
    external merge — and the results must be BYTE-IDENTICAL to the
-   in-memory path, across batch sizes and serial/parallel execution
-   (the parallel path falls back to the serial spilling path).
+   in-memory path, across batch sizes and the row and batch paths (the
+   batch path falls back to the spilling row path).
 
    With spill off the budget reverts to a hard [Resource_exhausted]
    kill — the pre-spill governor contract, still exercised by
@@ -14,8 +14,6 @@ module Metrics = Perm_obs.Metrics
 module Spill = Perm_storage.Spill
 module Err = Perm_err
 open Perm_testkit.Kit
-
-let domains = 2
 
 let forum_scaled ?(messages = 600) ?(users = 6) () =
   let e = engine () in
@@ -73,12 +71,19 @@ let spill_engine () =
   Alcotest.(check bool) "spill defaults on" true (Engine.spill_enabled e);
   e
 
+(* The session default is the batch path, which never spills: past the
+   threshold it raises and the engine re-runs the statement on the
+   spilling row path. The re-run must happen, and match the in-memory run. *)
 let test_serial_identity () =
   let e = spill_engine () in
+  Engine.set_vectorized e true;
+  let before = Spill.counters () in
   check_identical ~label:"serial spill" e;
+  let after = Spill.counters () in
   Alcotest.(check bool) "statements actually spilled" true
-    (let c = Spill.counters () in
-     c.Spill.c_spills > 0);
+    (after.Spill.c_spills > before.Spill.c_spills);
+  Alcotest.(check bool) "batch path fell back to the row path" true
+    (after.Spill.c_fallbacks > before.Spill.c_fallbacks);
   Engine.close e
 
 let test_batch_sizes () =
@@ -94,14 +99,6 @@ let test_row_path_identity () =
   let e = spill_engine () in
   Engine.set_vectorized e false;
   check_identical ~label:"row path" e;
-  Engine.close e
-
-let test_parallel_identity () =
-  let e = spill_engine () in
-  Engine.set_parallel e (Engine.Par_domains domains);
-  Engine.set_parallel_threshold e 1;
-  Engine.set_morsel_rows e 64;
-  check_identical ~label:"parallel (spill fallback)" e;
   Engine.close e
 
 let test_completes_where_kill_would_fire () =
@@ -163,11 +160,7 @@ let non_spillable_ceiling ~label setup =
 
 let test_budget_hard_ceiling () =
   non_spillable_ceiling ~label:"batch" (fun _ -> ());
-  non_spillable_ceiling ~label:"row" (fun e -> Engine.set_vectorized e false);
-  non_spillable_ceiling ~label:"parallel" (fun e ->
-      Engine.set_parallel e (Engine.Par_domains domains);
-      Engine.set_parallel_threshold e 1;
-      Engine.set_morsel_rows e 64)
+  non_spillable_ceiling ~label:"row" (fun e -> Engine.set_vectorized e false)
 
 let test_spill_dir_honoured () =
   let dir = Filename.temp_file "perm_spill_dir" "" in
@@ -194,7 +187,6 @@ let () =
           case "serial spill = in-memory, byte for byte" test_serial_identity;
           case "batch sizes 1 and 7" test_batch_sizes;
           case "row-at-a-time path" test_row_path_identity;
-          case "parallel falls back and matches" test_parallel_identity;
         ] );
       ( "degradation",
         [

@@ -258,7 +258,7 @@ let other_views_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* perm_stat_plans / perm_stat_workers and live progress               *)
+(* perm_stat_plans and live progress                                   *)
 (* ------------------------------------------------------------------ *)
 
 let profiler_views_tests =
@@ -292,49 +292,6 @@ let profiler_views_tests =
           1;
         Engine.reset_statement_stats e;
         check_count e "SELECT * FROM perm_stat_plans" 0);
-    case "perm_stat_workers reports per-domain totals after a parallel run"
-      (fun () ->
-        let e = forum_engine () in
-        Engine.set_instrumentation e true;
-        Engine.set_parallel e (Engine.Par_domains 2);
-        Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
-        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
-        (* one row per domain (participants and idle workers alike) *)
-        check_count e "SELECT * FROM perm_stat_workers" 2;
-        let rs =
-          query_ok e
-            "SELECT morsels, rows FROM perm_stat_workers ORDER BY domain"
-        in
-        let total_morsels =
-          List.fold_left
-            (fun acc row ->
-              match row.(0) with
-              | Perm_value.Value.Int n -> acc + n
-              | _ -> acc)
-            0 rs.Engine.rows
-        in
-        Alcotest.(check bool) "all morsels accounted for" true
-          (total_morsels > 0);
-        Engine.close e);
-    case "plan profile rides the parallel path under instrumentation"
-      (fun () ->
-        let e = forum_engine () in
-        Engine.set_instrumentation e true;
-        Engine.set_parallel e (Engine.Par_domains 2);
-        Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
-        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
-        let rs =
-          query_ok e
-            "SELECT operator, act_rows FROM perm_stat_plans WHERE operator \
-             = 'Scan(messages)'"
-        in
-        (match rs.Engine.rows with
-        | [ [| _; Perm_value.Value.Int act |] ] ->
-          Alcotest.(check int) "scan rows from the morsel stages" 2 act
-        | _ -> Alcotest.fail "parallel scan profile missing");
-        Engine.close e);
     case "Engine.progress reports the finished statement" (fun () ->
         let e = forum_engine () in
         ignore (query_ok e "SELECT mid FROM messages");
@@ -347,20 +304,6 @@ let profiler_views_tests =
           Alcotest.(check int) "rows" 2 p.Engine.pr_rows;
           Alcotest.(check bool) "elapsed measured" true
             (p.Engine.pr_elapsed_ms >= 0.));
-    case "parallel progress counts morsels" (fun () ->
-        let e = forum_engine () in
-        Engine.set_parallel e (Engine.Par_domains 2);
-        Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
-        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
-        (match Engine.progress e with
-        | None -> Alcotest.fail "no progress record"
-        | Some p ->
-          Alcotest.(check bool) "fanned out" true (p.Engine.pr_morsels_total > 0);
-          Alcotest.(check int) "all morsels done" p.Engine.pr_morsels_total
-            p.Engine.pr_morsels_done;
-          Alcotest.(check int) "rows" 2 p.Engine.pr_rows);
-        Engine.close e);
     case "governor kills report where the statement died" (fun () ->
         let e = forum_engine () in
         Engine.set_row_limit e 1;
@@ -446,12 +389,12 @@ let history_tests =
         History.set_min_samples h 1;
         let rec_ok ms =
           History.record h ~fingerprint:"q" ~ts:0. ~plan_hash:"abc" ~ms
-            ~rows:10 ~est_rows:10. ~skew:1. ~error:false ~phases:[]
+            ~rows:10 ~est_rows:10. ~error:false ~phases:[]
         in
         ignore (rec_ok 1.);
         let flagged =
           History.record h ~fingerprint:"q" ~ts:1. ~plan_hash:"abc" ~ms:100.
-            ~rows:10 ~est_rows:10. ~skew:1. ~error:true ~phases:[]
+            ~rows:10 ~est_rows:10. ~error:true ~phases:[]
         in
         Alcotest.(check bool) "error not flagged" true (flagged = None);
         (match History.baseline h "q" with
@@ -469,7 +412,7 @@ let history_tests =
         History.set_min_samples h 3;
         let go ts =
           History.record h ~fingerprint:"q" ~ts ~plan_hash:"abc" ~ms:1.
-            ~rows:10 ~est_rows:10. ~skew:1. ~error:false ~phases:[]
+            ~rows:10 ~est_rows:10. ~error:false ~phases:[]
         in
         Alcotest.(check bool) "1st: no baseline yet" true (go 0. = None);
         Alcotest.(check bool) "2nd: 1 sample < 3" true (go 1. = None);
@@ -479,30 +422,13 @@ let history_tests =
           Alcotest.(check string) "cause" "unknown"
             (History.cause_label rg.History.rg_cause)
         | None -> Alcotest.fail "4th execution should be flagged"));
-    case "skew regression attributed to parallel imbalance" (fun () ->
-        let h = History.create () in
-        History.set_factor h 0.;
-        History.set_min_samples h 1;
-        ignore
-          (History.record h ~fingerprint:"q" ~ts:0. ~plan_hash:"abc" ~ms:1.
-             ~rows:10 ~est_rows:10. ~skew:1. ~error:false ~phases:[]);
-        (match
-           History.record h ~fingerprint:"q" ~ts:1. ~plan_hash:"abc" ~ms:1.
-             ~rows:10 ~est_rows:10. ~skew:3. ~error:false ~phases:[]
-         with
-        | Some rg ->
-          Alcotest.(check string) "cause" "skew"
-            (History.cause_label rg.History.rg_cause);
-          Alcotest.(check bool) "detail names the skew" true
-            (contains rg.History.rg_detail "skew")
-        | None -> Alcotest.fail "skewed execution should be flagged"));
     case "LRU eviction bounds distinct fingerprints" (fun () ->
         let h = History.create () in
         History.set_max_fingerprints h 2;
         let go fp =
           ignore
             (History.record h ~fingerprint:fp ~ts:0. ~plan_hash:"" ~ms:1.
-               ~rows:1 ~est_rows:1. ~skew:1. ~error:false ~phases:[])
+               ~rows:1 ~est_rows:1. ~error:false ~phases:[])
         in
         go "a";
         go "b";
@@ -519,7 +445,7 @@ let history_tests =
             (History.record h
                ~fingerprint:(Printf.sprintf "q%d" i)
                ~ts:0. ~plan_hash:"abcdef012345" ~ms:1. ~rows:1 ~est_rows:1.
-               ~skew:1. ~error:false
+               ~error:false
                ~phases:[ ("execute", 1.) ])
         done;
         let mid = History.approx_bytes h in
@@ -528,7 +454,7 @@ let history_tests =
         (* an impossible budget: everything evictable is evicted *)
         ignore
           (History.record h ~fingerprint:"last" ~ts:0. ~plan_hash:"" ~ms:1.
-             ~rows:1 ~est_rows:1. ~skew:1. ~error:false ~phases:[]);
+             ~rows:1 ~est_rows:1. ~error:false ~phases:[]);
         Alcotest.(check bool) "budget shrank retention" true
           (History.approx_bytes h < mid));
   ]
@@ -580,15 +506,13 @@ let watchdog_detection_tests =
           let last = List.nth rest (List.length rest - 1) in
           Alcotest.(check bool) "hash changed" true (h1 <> last)
         | [] -> Alcotest.fail "history view empty"));
-    case "parallel verdict flip is a plan change too" (fun () ->
+    case "row/batch path flip is a plan change too" (fun () ->
         let e = forum_engine () in
         let h = Engine.history e in
         let sql = "SELECT mid, text FROM messages WHERE mid >= 0" in
         ignore (query_ok e sql);
         ignore (query_ok e sql);
-        Engine.set_parallel e (Engine.Par_domains 2);
-        Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
+        Engine.set_vectorized e false;
         ignore (query_ok e sql);
         let fp = Fingerprint.of_sql sql in
         let regs =
@@ -598,7 +522,7 @@ let watchdog_detection_tests =
               && r.History.rg_cause = History.Plan_change)
             (History.regressions h)
         in
-        Alcotest.(check int) "serial -> parallel flagged" 1 (List.length regs);
+        Alcotest.(check int) "batch -> row flagged" 1 (List.length regs);
         Engine.close e);
     case "cardinality growth is attributed when timing regresses" (fun () ->
         let e = forum_engine () in
@@ -647,8 +571,8 @@ let history_views_tests =
            from messages'"
           [
             "fingerprint"; "seq"; "ts"; "plan_hash"; "total_ms"; "rows";
-            "est_rows"; "skew"; "error"; "analyze_ms"; "rewrite_ms";
-            "optimize_ms"; "execute_ms";
+            "est_rows"; "error"; "analyze_ms"; "rewrite_ms"; "optimize_ms";
+            "execute_ms";
           ];
         check_rows e
           "SELECT rows, error FROM perm_stat_history WHERE fingerprint = \
@@ -797,50 +721,6 @@ let trace_export_tests =
             Float.infinity events
         in
         Alcotest.(check (float 1e-6)) "relative timestamps" 0. min_ts);
-    case "parallel runs export one named lane per worker domain" (fun () ->
-        let e = forum_engine () in
-        Engine.set_parallel e (Engine.Par_domains 2);
-        Engine.set_parallel_threshold e 1;
-        Engine.set_morsel_rows e 1;
-        ignore (query_ok e "SELECT mid, text FROM messages WHERE mid >= 0");
-        Engine.close e;
-        let text = Json.to_string (Trace.to_chrome_json (Engine.trace_log e)) in
-        let doc =
-          match Json.parse text with
-          | Ok doc -> doc
-          | Error msg -> Alcotest.failf "export does not parse: %s" msg
-        in
-        let events =
-          match Option.bind (Json.member "traceEvents" doc) Json.to_list_opt with
-          | Some evs -> evs
-          | None -> Alcotest.fail "no traceEvents array"
-        in
-        let lane_names =
-          List.filter_map
-            (fun ev ->
-              if Option.bind (Json.member "ph" ev) Json.to_string_opt = Some "M"
-              then
-                Option.bind (Json.member "args" ev) (fun args ->
-                    Option.bind (Json.member "name" args) Json.to_string_opt)
-              else None)
-            events
-        in
-        List.iter
-          (fun lane ->
-            Alcotest.(check bool) (lane ^ " lane present") true
-              (List.mem lane lane_names))
-          [ "engine"; "worker 0"; "worker 1" ];
-        (* morsel slices actually land on worker lanes (tid >= 2) *)
-        let worker_slices =
-          List.exists
-            (fun ev ->
-              Option.bind (Json.member "ph" ev) Json.to_string_opt = Some "X"
-              && (match Option.bind (Json.member "tid" ev) Json.to_float_opt with
-                 | Some tid -> tid >= 2.
-                 | None -> false))
-            events
-        in
-        Alcotest.(check bool) "slices on worker lanes" true worker_slices);
     case "span tree nesting invariants: children within parents, in order"
       (fun () ->
         let e = forum_engine () in

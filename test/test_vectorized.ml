@@ -3,14 +3,11 @@
    The row-at-a-time closures are the correctness oracle: with
    vectorization on, every query must return byte-identical rows in
    identical order — across adversarial batch sizes (1, 7, and the
-   default), on the serial path and on the parallel path at the
-   PERM_PARALLEL domain count (CI runs 1, 2 and 4), including the
-   provenance rewrites (influence + copy, lazy and eager). *)
+   default), including the provenance rewrites (influence + copy, lazy
+   and eager). *)
 
 module Engine = Perm_engine.Engine
 module Executor = Perm_executor.Executor
-module Pool = Perm_executor.Pool
-module Metrics = Perm_obs.Metrics
 module Value = Perm_value.Value
 module Dtype = Perm_value.Dtype
 module Plan = Perm_algebra.Plan
@@ -18,20 +15,14 @@ module Expr = Perm_algebra.Expr
 module Attr = Perm_algebra.Attr
 open Perm_testkit.Kit
 
-let domains =
-  match Sys.getenv_opt "PERM_PARALLEL" with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 2)
-  | None -> 2
-
-(* Batch sizes under test: degenerate (1), prime and misaligned with every
-   morsel boundary (7), and the shipped default. *)
+(* Batch sizes under test: degenerate (1), prime (7), and the shipped
+   default. *)
 let batch_sizes = [ 1; 7; Executor.default_batch_rows ]
 
 let ordered_rows e sql = strings_of_rows (query_ok e sql).Engine.rows
 
-(* Oracle: the row path, with parallelism off. *)
+(* Oracle: the row path. *)
 let row_oracle e sql =
-  Engine.set_parallel e Engine.Par_off;
   Engine.set_vectorized e false;
   let rows = ordered_rows e sql in
   Engine.set_vectorized e true;
@@ -42,20 +33,10 @@ let check_against_oracle e sql =
   List.iter
     (fun bn ->
       Engine.set_batch_rows e bn;
-      (* serial batch path *)
-      Engine.set_parallel e Engine.Par_off;
       Alcotest.(check rows_testable)
         (Printf.sprintf "%s [row = batch, batch_rows=%d]" sql bn)
-        oracle (ordered_rows e sql);
-      (* parallel batch path: tiny morsels so several tasks exist *)
-      Engine.set_parallel e (Engine.Par_domains domains);
-      Engine.set_parallel_threshold e 1;
-      Engine.set_morsel_rows e 16;
-      Alcotest.(check rows_testable)
-        (Printf.sprintf "%s [row = parallel batch, batch_rows=%d]" sql bn)
         oracle (ordered_rows e sql))
     batch_sizes;
-  Engine.set_parallel e Engine.Par_off;
   Engine.set_batch_rows e Executor.default_batch_rows
 
 let forum_queries =
@@ -91,8 +72,13 @@ let suite_identity =
         let e = engine () in
         Perm_workload.Forum.load_scaled e ~messages:300 ~users:40 ();
         List.iter (check_against_oracle e) forum_queries;
-        Alcotest.(check bool) "parallel path engaged" true
-          (Metrics.counter (Engine.metrics e) "executor.par.queries" > 0);
+        Alcotest.(check bool) "batch path engaged" true
+          (List.for_all
+             (fun sql ->
+               match Engine.plan_query e sql with
+               | Ok (_, plan) -> Executor.batch_eligible plan
+               | Error msg -> Alcotest.failf "%s: %s" sql msg)
+             forum_queries);
         Engine.close e);
     case "star workload: row oracle = batch paths incl. provenance"
       (fun () ->
@@ -186,48 +172,14 @@ let suite_profiler =
         Engine.close e);
   ]
 
-let suite_morsel_sizing =
-  [
-    case "planner morsel choice is a whole multiple of batch_rows" (fun () ->
-        List.iter
-          (fun (batch_rows, driving_rows, domains) ->
-            let m =
-              Perm_planner.Planner.choose_morsel_rows ~batch_rows
-                ~driving_rows ~domains
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "b=%d rows=%d d=%d -> %d" batch_rows
-                 driving_rows domains m)
-              true
-              (m >= batch_rows && m mod batch_rows = 0))
-          [
-            (1024, 100_000, 4);
-            (1024, 10, 1);
-            (7, 1_000, 2);
-            (256, 1_000_000, 8);
-            (4096, 4096, 1);
-          ]);
-    case "auto morsels (morsel_rows 0) keep determinism" (fun () ->
-        let e = engine () in
-        Perm_workload.Forum.load_scaled e ~messages:500 ~users:40 ();
-        let sql = "SELECT uid, count(*) FROM messages GROUP BY uid" in
-        let oracle = row_oracle e sql in
-        Engine.set_morsel_rows e 0;
-        Engine.set_parallel e (Engine.Par_domains domains);
-        Engine.set_parallel_threshold e 1;
-        Alcotest.(check rows_testable) "auto-sized parallel = oracle" oracle
-          (ordered_rows e sql);
-        Engine.close e);
-  ]
-
 (* ---- join tables ------------------------------------------------- *)
 
 (* Every join build site shares one hash table, typed for single Int,
    Date and Text keys. These joins run straight on the executor over
    fixture tables (key column, then payload) that hold NULL keys,
    duplicate keys and values off their column's type — which no SQL
-   statement can store — on the row path, the batch path at every batch
-   size and the parallel paths. All must return byte-identical rows, and
+   statement can store — on the row path and the batch path at every
+   batch size. All must return byte-identical rows, and
    the row path must equal a nested-loop evaluation of the join. *)
 
 let big = 9007199254740992 (* 2^53: Int neighbours share one Float *)
@@ -281,8 +233,6 @@ let jt_provider : Executor.provider =
   {
     Executor.scan_table = (fun t -> List.to_seq (jt_rows t));
     Executor.probe_index = (fun _ _ _ -> Seq.empty);
-    Executor.scan_morsels =
-      (fun t n -> Executor.morsels_of_list ~morsel_rows:n (jt_rows t));
     Executor.scan_batches =
       (fun t n -> Executor.batches_of_list ~arity:2 ~batch_rows:n (jt_rows t));
   }
@@ -342,7 +292,7 @@ let ok_rows what = function
   | Ok rows -> show_rows rows
   | Error msg -> Alcotest.failf "%s: %s" what msg
 
-let check_join pool ~ltable ~rtable ~keys ~null_safe kind =
+let check_join ~ltable ~rtable ~keys ~null_safe kind =
   let left, lattrs = jt_scan ltable and right, rattrs = jt_scan rtable in
   let key_cols = List.init keys Fun.id in
   let pred =
@@ -370,31 +320,12 @@ let check_join pool ~ltable ~rtable ~keys ~null_safe kind =
     (name ^ " [row = nested loop]")
     (show_rows (nested_loop kind ~matches (jt_rows ltable) (jt_rows rtable)))
     oracle;
-  let parallel ?batch_rows () =
-    match
-      Executor.Par.prepare ~provider:jt_provider ~pool ~morsel_rows:2
-        ?batch_rows plan
-    with
-    | None -> None
-    | Some run -> Some (Result.map fst (run ()))
-  in
-  (match parallel () with
-  | None -> ()
-  | Some res ->
-    Alcotest.(check rows_testable) (name ^ " [row = parallel rows]") oracle
-      (ok_rows name res));
   List.iter
     (fun bn ->
       Alcotest.(check rows_testable)
         (Printf.sprintf "%s [row = batch, batch_rows=%d]" name bn)
         oracle
-        (ok_rows name (Executor.run ~batch_rows:bn ~provider:jt_provider plan));
-      match parallel ~batch_rows:bn () with
-      | None -> ()
-      | Some res ->
-        Alcotest.(check rows_testable)
-          (Printf.sprintf "%s [row = parallel batch, batch_rows=%d]" name bn)
-          oracle (ok_rows name res))
+        (ok_rows name (Executor.run ~batch_rows:bn ~provider:jt_provider plan)))
     batch_sizes
 
 let suite_join_tables =
@@ -411,21 +342,16 @@ let suite_join_tables =
     ]
   in
   [
-    case "typed and generic join tables: row = nested loop = batch = parallel"
-      (fun () ->
-        let pool = Pool.create domains in
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown pool)
-          (fun () ->
+    case "typed and generic join tables: row = nested loop = batch" (fun () ->
+        List.iter
+          (fun (ltable, rtable, keys) ->
             List.iter
-              (fun (ltable, rtable, keys) ->
+              (fun null_safe ->
                 List.iter
-                  (fun null_safe ->
-                    List.iter
-                      (check_join pool ~ltable ~rtable ~keys ~null_safe)
-                      [ Plan.Inner; Plan.Left; Plan.Full; Plan.Semi; Plan.Anti ])
-                  [ false; true ])
-              pairs));
+                  (check_join ~ltable ~rtable ~keys ~null_safe)
+                  [ Plan.Inner; Plan.Left; Plan.Full; Plan.Semi; Plan.Anti ])
+              [ false; true ])
+          pairs);
   ]
 
 let () =
@@ -434,6 +360,5 @@ let () =
       ("identity", suite_identity);
       ("dispatch", suite_dispatch);
       ("profiler", suite_profiler);
-      ("morsel-sizing", suite_morsel_sizing);
       ("join-tables", suite_join_tables);
     ]
