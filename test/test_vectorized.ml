@@ -150,6 +150,45 @@ let suite_dispatch =
         Engine.close e);
   ]
 
+(* A plan the batch compiler declines runs on the row path even with
+   vectorization on: same rows as the row oracle, and the same plan hash
+   as under [\set vectorized off], since the mode recorded is the path
+   that actually ran. *)
+let suite_row_fallbacks =
+  [
+    case "correlated Apply stays on the row path under vectorized on"
+      (fun () ->
+        let e = forum_engine () in
+        let h = Engine.history e in
+        Perm_obs.History.set_capacity h 8;
+        Perm_obs.History.set_cadence h 0.;
+        (* non-equality correlation defeats decorrelation, so an Apply
+           survives into the optimized plan *)
+        let sql =
+          "SELECT u.name FROM users u WHERE EXISTS (SELECT 1 FROM messages \
+           m WHERE m.uid < u.uid)"
+        in
+        (match Engine.plan_query e sql with
+        | Ok (_, plan) ->
+            Alcotest.(check bool) "plan is not batch eligible" false
+              (Executor.batch_eligible plan)
+        | Error msg -> Alcotest.failf "%s: %s" sql msg);
+        let last_hash () =
+          match List.rev (Perm_obs.History.executions h) with
+          | r :: _ -> r.Perm_obs.History.ex_plan_hash
+          | [] -> Alcotest.fail "no execution recorded"
+        in
+        Engine.set_vectorized e false;
+        let oracle = ordered_rows e sql in
+        let row_hash = last_hash () in
+        Engine.set_vectorized e true;
+        Alcotest.(check rows_testable) "fallback = row oracle" oracle
+          (ordered_rows e sql);
+        Alcotest.(check string) "recorded as a row-path run" row_hash
+          (last_hash ());
+        Engine.close e);
+  ]
+
 let suite_profiler =
   [
     case "instrumented batch run reports exact peak bytes" (fun () ->
@@ -361,4 +400,5 @@ let () =
       ("dispatch", suite_dispatch);
       ("profiler", suite_profiler);
       ("join-tables", suite_join_tables);
+      ("row-fallbacks", suite_row_fallbacks);
     ]
